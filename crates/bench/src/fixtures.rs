@@ -2,9 +2,9 @@
 //!
 //! One place owns the "random but reproducible model" generators that the
 //! serialization contract tests (`cpr_core/tests/api_surface.rs`), the
-//! registry concurrency suite (`cpr_registry/tests/`), and the
-//! mixed-traffic bench stage (`perf_snapshot`) all need — so a fleet of
-//! 200 servable models means the same thing in a proptest and in a
+//! registry concurrency suite (`cpr_registry/tests/`), and the end-to-end
+//! benchmark's fleet and wire probes (`e2ebench/`) all need — so a fleet
+//! of 200 servable models means the same thing in a proptest and in a
 //! benchmark. Everything here is part-wise construction
 //! ([`CprModel::from_parts_tagged`] over random factors): building a
 //! 200-model fleet costs milliseconds, no fitting involved.

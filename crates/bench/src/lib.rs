@@ -2,8 +2,9 @@
 //!
 //! Shared plumbing for the per-figure/per-table binaries (`src/bin/`) that
 //! regenerate every table and figure of the paper's evaluation, plus the
-//! criterion micro-benchmarks (`benches/`). See DESIGN.md's per-experiment
-//! index for the mapping.
+//! seeded [`fixtures`] the test suites and the end-to-end benchmark
+//! (`e2ebench/`) share. See DESIGN.md's per-experiment index for the
+//! mapping.
 //!
 //! Conventions (paper §6.0.4):
 //! * baselines consume **log-transformed** parameters and execution times;
@@ -35,15 +36,35 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parse from process args: `--full` selects [`Scale::Full`], `--tiny`
-    /// selects [`Scale::Tiny`], anything else defaults to [`Scale::Quick`].
+    /// Parse the process arguments: none selects [`Scale::Quick`], exactly
+    /// one of `--tiny`, `--quick`, `--full` selects that scale. Anything
+    /// else prints the reason and a usage line and exits with status 2.
     pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--full") {
-            Scale::Full
-        } else if std::env::args().any(|a| a == "--tiny") {
-            Scale::Tiny
-        } else {
-            Scale::Quick
+        let mut args = std::env::args();
+        let prog = args.next().unwrap_or_default();
+        let rest: Vec<String> = args.collect();
+        Self::parse(&rest).unwrap_or_else(|reason| {
+            eprintln!("{prog}: {reason}\nusage: {prog} [--tiny | --quick | --full]");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`Scale::from_args`] without the process: the arguments after the
+    /// program name. An unknown argument or a second flag is an error, so a
+    /// mistyped flag never runs the default sweep.
+    fn parse<S: AsRef<str>>(args: &[S]) -> Result<Self, String> {
+        match args {
+            [] => Ok(Scale::Quick),
+            [flag] => match flag.as_ref() {
+                "--tiny" => Ok(Scale::Tiny),
+                "--quick" => Ok(Scale::Quick),
+                "--full" => Ok(Scale::Full),
+                other => Err(format!("unknown argument `{other}`")),
+            },
+            _ => Err(format!(
+                "expected at most one scale flag, got {} arguments",
+                args.len()
+            )),
         }
     }
 
@@ -369,6 +390,19 @@ mod tests {
         }
         // A 1-byte cap drops everything.
         assert!(sweep_builders(&builders, &train, &test, Some(1)).is_empty());
+    }
+
+    #[test]
+    fn scale_flags_parse_strictly() {
+        assert_eq!(Scale::parse::<&str>(&[]), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(&["--tiny"]), Ok(Scale::Tiny));
+        assert_eq!(Scale::parse(&["--quick"]), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(&["--full"]), Ok(Scale::Full));
+        // A typo and a doubled flag are rejected, not run at Quick scale.
+        let typo = Scale::parse(&["--ful"]).unwrap_err();
+        assert!(typo.contains("--ful"), "{typo}");
+        assert!(Scale::parse(&["--tiny", "--full"]).is_err());
+        assert!(Scale::parse(&["--tiny", "--tiny"]).is_err());
     }
 
     #[test]

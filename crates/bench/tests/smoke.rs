@@ -1,11 +1,10 @@
-//! Smoke tests for the experiment harness: every criterion bench target
-//! compiles, and every `fig*`/`table*`/`ablation*` binary parses its CLI and
-//! completes a tiny-size run. These shell out to the `cargo` that is driving
-//! this test (nested invocations are safe: the build lock is free while test
-//! binaries execute).
+//! Smoke tests for the experiment harness: every `fig*`/`table*`/`ablation*`
+//! binary parses its CLI and completes a tiny-size run. These shell out to
+//! the `cargo` that is driving this test (nested invocations are safe: the
+//! build lock is free while test binaries execute).
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output};
 
 fn workspace_root() -> PathBuf {
     // crates/bench -> workspace root.
@@ -41,23 +40,12 @@ fn binary_registry_is_complete() {
     let bins = harness_binaries();
     assert_eq!(
         bins.len(),
-        13,
-        "expected 13 harness binaries, found {bins:?}"
+        11,
+        "expected 11 harness binaries, found {bins:?}"
     );
     for prefix in [
-        "fig1",
-        "fig2",
-        "fig3",
-        "fig4",
-        "fig5",
-        "fig6",
-        "fig7",
-        "fig8",
-        "table1",
-        "table2",
+        "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table1", "table2",
         "ablation",
-        "perf_snapshot",
-        "perf_guard",
     ] {
         assert!(
             bins.iter().any(|b| b.starts_with(prefix)),
@@ -66,51 +54,28 @@ fn binary_registry_is_complete() {
     }
 }
 
-#[test]
-fn criterion_benches_compile() {
-    let output = cargo()
-        .args(["bench", "--no-run", "--offline", "-p", "cpr_bench"])
+/// `cargo run --release` one harness binary with one argument.
+fn run_bin(bin: &str, arg: &str) -> Output {
+    cargo()
+        .args([
+            "run",
+            "--release",
+            "--offline",
+            "-p",
+            "cpr_bench",
+            "--bin",
+            bin,
+            "--",
+            arg,
+        ])
         .output()
-        .expect("failed to spawn cargo bench");
-    assert!(
-        output.status.success(),
-        "cargo bench --no-run failed:\n{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
+        .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"))
 }
 
 #[test]
 fn every_harness_binary_runs_a_tiny_configuration() {
-    // perf_snapshot honors CPR_BENCH_OUT; point it at the target dir so a
-    // test run never clobbers the committed BENCH_pr3.json record.
-    let snapshot_out = workspace_root().join("target/BENCH_smoke_tiny.json");
     for bin in harness_binaries() {
-        // perf_guard takes two snapshot paths instead of a size flag;
-        // comparing the checked-in tiny baseline against itself exercises
-        // the parser and the all-ratios-1.0 pass verdict.
-        let bin_args: &[&str] = if bin == "perf_guard" {
-            &[
-                "crates/bench/baselines/tiny.json",
-                "crates/bench/baselines/tiny.json",
-            ]
-        } else {
-            &["--tiny"]
-        };
-        let output = cargo()
-            .env("CPR_BENCH_OUT", &snapshot_out)
-            .args([
-                "run",
-                "--release",
-                "--offline",
-                "-p",
-                "cpr_bench",
-                "--bin",
-                &bin,
-                "--",
-            ])
-            .args(bin_args)
-            .output()
-            .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
+        let output = run_bin(&bin, "--tiny");
         assert!(
             output.status.success(),
             "{bin} --tiny exited with {}:\n{}",
@@ -122,4 +87,13 @@ fn every_harness_binary_runs_a_tiny_configuration() {
             "{bin} --tiny produced no stdout (tables/figures print to stdout)"
         );
     }
+    // A mistyped scale flag is refused with a usage line, never run at the
+    // default scale.
+    let output = run_bin("fig3_granularity", "--ful");
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    assert!(output.stdout.is_empty(), "{output:?}");
+    assert!(
+        String::from_utf8_lossy(&output.stderr).contains("usage:"),
+        "{output:?}"
+    );
 }

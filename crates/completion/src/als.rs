@@ -127,8 +127,7 @@ pub fn als_with_streams(
 /// canonical leave-one-out vector ([`CpDecomp::leave_one_out_canonical`])
 /// through the [`ModeIndex`] inverted index, with dynamic-rank kernels.
 /// Same math, same operation order — [`als`] must match it bitwise (the
-/// `stream_equivalence` proptests), and `perf_snapshot` times it as the
-/// same-run A/B control for the streamed path's speedup.
+/// `stream_equivalence` proptests).
 pub fn als_reference(cp: &mut CpDecomp, obs: &SparseTensor, config: &AlsConfig) -> Trace {
     assert_eq!(
         cp.dims(),
@@ -293,9 +292,7 @@ fn update_mode_streamed(
 /// guarantees across the call boundary, which is what lets LLVM keep the
 /// slice pointers in registers and vectorize the branchless rank-1 update —
 /// the same loops written against fields of a scratch struct inside the
-/// worker closure compile to scalar code with reloads. Keeping the
-/// reference path representative matters: `perf_snapshot` times it as the
-/// A/B control.
+/// worker closure compile to scalar code with reloads.
 fn accumulate_normal_equations_reference(
     frozen: &CpDecomp,
     obs: &SparseTensor,

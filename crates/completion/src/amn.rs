@@ -183,7 +183,7 @@ pub fn amn(cp: &mut CpDecomp, obs: &SparseTensor, config: &AmnConfig) -> Trace {
 /// The retained reference sweep: naive per-observation `z`-cache fills via
 /// [`CpDecomp::leave_one_out_canonical`] through the [`ModeIndex`]
 /// inverted index. [`amn`] must match it bitwise (the `stream_equivalence`
-/// proptests); `perf_snapshot` times it as the same-run A/B control.
+/// proptests).
 pub fn amn_reference(cp: &mut CpDecomp, obs: &SparseTensor, config: &AmnConfig) -> Trace {
     check_amn_inputs(cp, obs);
     let d = cp.order();
@@ -411,8 +411,8 @@ fn row_objective(zcache: &[f64], logs: &[f64], eta: f64, lambda: f64, u: &[f64])
 /// rolled row loop at 16 — see `sweep::accumulate_normal_equations_streamed`);
 /// every variant performs the identical per-element operation sequence, so
 /// the dispatch is bitwise invisible. The reference sweep calls
-/// [`acc_newton_generic`] (the retained PR 3 shape) directly, keeping it a
-/// faithful same-run A/B control.
+/// [`acc_newton_generic`] directly, so the specification the streamed sweep
+/// is tested against never routes through the dispatch under test.
 fn accumulate_newton_system(
     zcache: &[f64],
     logs: &[f64],

@@ -98,7 +98,7 @@ pub fn tucker_als(t: &mut TuckerDecomp, obs: &SparseTensor, config: &TuckerConfi
 /// observation (per-element core walk, same canonical association as the
 /// streamed Kronecker build) through the [`ModeIndex`] inverted index.
 /// [`tucker_als`] must match it bitwise (the `stream_equivalence`
-/// proptests); `perf_snapshot` times it as the same-run A/B control.
+/// proptests).
 pub fn tucker_als_reference(
     t: &mut TuckerDecomp,
     obs: &SparseTensor,

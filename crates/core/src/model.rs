@@ -1323,7 +1323,7 @@ impl CprModel {
         // The decomposition variant is matched *outside* the corner
         // closure: a closure that carries both the CP and the Tucker eval
         // bodies is too big to inline into `interpolate_corners`, which
-        // costs ~2x on this reference path (measured by perf_guard).
+        // costs ~2x on this reference path.
         let log_pred = match (&self.decomp, self.loss) {
             (Decomposition::Cp(cp), Loss::LogLeastSquares) => {
                 interpolate_corners(&stencils, |idx| cp.eval(idx)) + self.log_offset
@@ -1375,8 +1375,7 @@ impl CprModel {
     }
 
     /// Batched prediction through the naive reference path (the pre-plan
-    /// serving implementation, kept for A/B benchmarking and equivalence
-    /// tests).
+    /// serving implementation, kept for equivalence tests).
     pub fn predict_batch_naive<X: AsRef<[f64]> + Sync>(&self, xs: &[X]) -> Vec<f64> {
         xs.par_iter()
             .map(|x| self.predict_naive(x.as_ref()))
@@ -1799,6 +1798,7 @@ mod tests {
         let (_, queries) = separable_dataset(300, 33);
         let fast = model.predict_batch(queries.samples());
         let slow = model.predict_batch_naive(queries.samples());
+        assert_eq!((fast.len(), slow.len()), (queries.len(), queries.len()));
         for (a, b) in fast.iter().zip(&slow) {
             assert_eq!(a.to_bits(), b.to_bits());
         }

@@ -1,6 +1,6 @@
 //! Shared plumbing for the registry integration suite: fleet fixtures
-//! (from `cpr_bench::fixtures`, the same population the bench stages
-//! serve) adapted to registry ids.
+//! (from `cpr_bench::fixtures`, the same population the end-to-end
+//! benchmark serves) adapted to registry ids.
 //!
 //! Each integration test binary compiles its own copy, so not every
 //! helper is used from every binary.

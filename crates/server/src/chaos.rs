@@ -8,8 +8,8 @@
 //!
 //! It is a deliberately simple blocking client over `std::net` (the
 //! offline policy allows nothing else), shipped in the crate (not the
-//! test tree) so the soak binary and the perf stages drive the same
-//! code the chaos matrix does.
+//! test tree) so the soak, metrics and wire-contract suites drive the
+//! same code the chaos matrix does.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};

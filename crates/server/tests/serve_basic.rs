@@ -67,6 +67,26 @@ fn keep_alive_reuses_one_connection() {
         );
     }
     assert_eq!(server.stats().accepted, 50);
+
+    // A deadline-zero shed answers 503 and keeps the connection: the next
+    // request on it is still served bitwise.
+    let f = &models[0];
+    let path = format!("/predict/{}/{}/{}", f.app, f.machine, f.metric);
+    let zero = [(DEADLINE_HEADER, "0".to_string())];
+    let shed = conn.request("POST", &path, &zero, b"7 1 1").unwrap();
+    assert_eq!(shed.status, 503);
+    let resp = conn.request("POST", &path, &[], b"7 1 1").unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(
+        resp.predictions()[0].to_bits(),
+        registry
+            .predict(&id_of(f), &[7.0, 1.0, 1.0])
+            .unwrap()
+            .to_bits()
+    );
+    let s = server.stats();
+    assert_eq!((s.accepted, s.shed_deadline), (51, 1));
+    assert!(s.identity_holds());
 }
 
 #[test]
