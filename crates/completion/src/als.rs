@@ -15,11 +15,11 @@
 
 use crate::convergence::{StopRule, Trace};
 use crate::sweep::{
-    accumulate_normal_equations_streamed, build_streams, fused_quadratic_loss, needs_cache,
+    accumulate_normal_equations_streamed, build_streams, foreign_factors, fused_quadratic_loss,
     z_source,
 };
 use cpr_tensor::linalg::solve_spd_jittered_into;
-use cpr_tensor::{CpDecomp, Matrix, ModeIndex, ModeStream, SparseTensor, SweepCache};
+use cpr_tensor::{CpDecomp, Matrix, ModeIndex, ModeStream, SparseTensor};
 use rayon::prelude::*;
 
 /// ALS configuration.
@@ -48,12 +48,13 @@ impl Default for AlsConfig {
 /// objective trace (Eq. 3 with least-squares loss).
 ///
 /// This is the **streamed** sweep: per-mode [`ModeStream`] layouts are
-/// built once, each observation's leave-one-out vector comes from the
-/// sweep-ordered partial-product [`SweepCache`] (amortized `O(R)` per mode
-/// instead of `O(dR)`), and the normal-equation accumulation dispatches to
-/// rank-monomorphized kernels for `R ∈ {2, 4, 8, 16}`. The retained naive
-/// path [`als_reference`] computes the same fit — proptests pin the two
-/// bitwise-equal on random problems.
+/// built once, each observation's leave-one-out vector is gathered directly
+/// from the foreign factor rows its stream slot names (folded in the
+/// canonical order, see [`crate::sweep`]), and the normal-equation
+/// accumulation dispatches to rank-monomorphized kernels for
+/// `R ∈ {2, 4, 8, 16}`. The retained naive path [`als_reference`]
+/// computes the same fit — proptests pin the two bitwise-equal on random
+/// problems.
 ///
 /// The per-sweep objective is **fused into the last mode update**: every
 /// observation belongs to exactly one row of the final mode, and once that
@@ -90,25 +91,15 @@ pub fn als_with_streams(
         assert_eq!(s.nnz(), obs.nnz(), "ALS: stream {m} is stale");
     }
 
-    // The partial-product cache only runs at orders where it wins (see
-    // `sweep::DIRECT_Z_MAX_ORDER`); low orders gather foreign rows
-    // directly from the (L1-resident) factors.
-    let use_cache = needs_cache(d);
-    let mut cache = SweepCache::new();
     let mut trace = Trace::default();
     let mut prev = objective(cp, obs, config.lambda);
     for _sweep in 0..config.stop.max_sweeps {
-        if use_cache {
-            cache.begin_sweep(cp, obs);
-        }
         let mut data_loss = 0.0;
         for (mode, stream) in streams.iter().enumerate() {
             let fused = mode + 1 == d;
-            let loss = update_mode_streamed(cp, stream, &cache, mode, rank, config, fused);
+            let loss = update_mode_streamed(cp, stream, mode, rank, config, fused);
             if fused {
                 data_loss = loss;
-            } else if use_cache {
-                cache.advance(mode, cp.factor(mode), obs);
             }
         }
         let reg: f64 = cp.factors().iter().map(|f| f.fro_norm_sq()).sum();
@@ -226,26 +217,25 @@ fn finish_row(
 
 /// One streamed mode update: solve all row subproblems of `mode` in
 /// parallel, writing new rows directly into the factor. The row loop walks
-/// the mode's packed stream (contiguous entry ids + values) and sources
-/// `z` from the partial-product cache through the rank-monomorphized
-/// kernels. Returns the post-update data loss `Σ (t̂ - t)²` over the mode's
-/// entries when `fused` (the last mode of a sweep), else 0.
+/// the mode's packed stream (contiguous foreign indices + values) and
+/// gathers each `z` from the frozen factors through the
+/// rank-monomorphized kernels. Returns the post-update data loss
+/// `Σ (t̂ - t)²` over the mode's entries when `fused` (the last mode of a
+/// sweep), else 0.
 fn update_mode_streamed(
     cp: &mut CpDecomp,
     stream: &ModeStream,
-    cache: &SweepCache,
     mode: usize,
     rank: usize,
     config: &AlsConfig,
     fused: bool,
 ) -> f64 {
-    // Borrow-split: move the free factor out, restore afterwards. The
-    // frozen modes are read either directly (low order) or through the
-    // cache's partial products (high order) — see `sweep::ZSource`.
+    // Borrow-split: move the free factor out, restore afterwards; the
+    // frozen modes are read in place (see `sweep::ZSource`).
     let mut factor = cp.take_factor(mode);
     let frozen: &CpDecomp = cp;
-    let src = z_source(frozen, cache, mode);
-    let ids = stream.entry_ids();
+    let foreign = foreign_factors(frozen, mode);
+    let src = z_source(&foreign, mode);
     let vals = stream.values();
 
     let row_losses: Vec<f64> = factor
@@ -268,7 +258,6 @@ fn update_mode_streamed(
                 }
                 let t2 = accumulate_normal_equations_streamed(
                     src,
-                    &ids[rng.clone()],
                     stream.row_foreign(i),
                     &vals[rng.clone()],
                     rank,

@@ -23,9 +23,9 @@
 //! ```
 
 use crate::convergence::{StopRule, Trace};
-use crate::sweep::{build_streams, fill_zcache, needs_cache, z_source};
+use crate::sweep::{build_streams, fill_zcache, foreign_factors, z_source};
 use cpr_tensor::linalg::solve_spd_jittered_into;
-use cpr_tensor::{CpDecomp, Matrix, ModeIndex, ModeStream, SparseTensor, SweepCache};
+use cpr_tensor::{CpDecomp, Matrix, ModeIndex, ModeStream, SparseTensor};
 use rayon::prelude::*;
 
 /// AMN configuration (defaults follow the paper's §6.0.4 values).
@@ -120,7 +120,7 @@ fn check_amn_inputs(cp: &CpDecomp, obs: &SparseTensor) {
 /// objective after each outer sweep.
 ///
 /// This is the **streamed** sweep (see [`crate::als::als`]): per-row
-/// `z`-caches are filled from the partial-product [`SweepCache`] through
+/// `z`-caches are gathered directly from the foreign factor rows through
 /// rank-monomorphized kernels, and the pre-logged observations are read
 /// slot-contiguously from per-mode [`ModeStream`] layouts. The retained
 /// naive path [`amn_reference`] is pinned bitwise-equal by proptests.
@@ -135,8 +135,6 @@ pub fn amn(cp: &mut CpDecomp, obs: &SparseTensor, config: &AmnConfig) -> Trace {
         .map(|s| s.values().iter().map(|v| v.ln()).collect())
         .collect();
 
-    let use_cache = needs_cache(d);
-    let mut cache = SweepCache::new();
     let mut trace = Trace::default();
     let mut prev = log_objective(cp, obs, config.lambda);
     let mut eta = config.eta0;
@@ -147,18 +145,12 @@ pub fn amn(cp: &mut CpDecomp, obs: &SparseTensor, config: &AmnConfig) -> Trace {
         // its final-mode row finishes its Newton solve, so no second
         // `O(|Ω| d R)` pass runs per sweep. Per-row losses are summed
         // sequentially in row order — bitwise thread-count independent.
-        if use_cache {
-            cache.begin_sweep(cp, obs);
-        }
         let mut data_loss = 0.0;
         for (mode, stream) in streams.iter().enumerate() {
             let fused = mode + 1 == d;
-            let loss =
-                update_mode_streamed(cp, stream, &cache, &logs[mode], mode, eta, config, fused);
+            let loss = update_mode_streamed(cp, stream, &logs[mode], mode, eta, config, fused);
             if fused {
                 data_loss = loss;
-            } else if use_cache {
-                cache.advance(mode, cp.factor(mode), obs);
             }
         }
         let reg: f64 = cp.factors().iter().map(|f| f.fro_norm_sq()).sum();
@@ -276,15 +268,13 @@ fn fused_row_loss(zcache: &[f64], logs: &[f64], rank: usize, u: &[f64]) -> f64 {
 }
 
 /// Newton-solve every row subproblem of one mode (rows are independent),
-/// updating the factor in place, with the `z`-caches filled from the
-/// partial-product cache and the log targets sliced from the mode's
-/// slot-aligned stream. When `fused`, returns the post-update barrier-free
-/// data loss over the mode's entries, else 0.
-#[allow(clippy::too_many_arguments)]
+/// updating the factor in place, with the `z`-caches gathered from the
+/// frozen factors and the log targets sliced from the mode's slot-aligned
+/// stream. When `fused`, returns the post-update barrier-free data loss
+/// over the mode's entries, else 0.
 fn update_mode_streamed(
     cp: &mut CpDecomp,
     stream: &ModeStream,
-    cache: &SweepCache,
     logs: &[f64],
     mode: usize,
     eta: f64,
@@ -294,8 +284,8 @@ fn update_mode_streamed(
     let rank = cp.rank();
     let mut factor = cp.take_factor(mode);
     let frozen: &CpDecomp = cp;
-    let src = z_source(frozen, cache, mode);
-    let ids = stream.entry_ids();
+    let foreign = foreign_factors(frozen, mode);
+    let src = z_source(&foreign, mode);
     let row_losses: Vec<f64> = factor
         .as_mut_slice()
         .par_chunks_mut(rank)
@@ -308,13 +298,7 @@ fn update_mode_streamed(
                     return 0.0; // unobserved fiber: keep previous (positive) row
                 }
                 // Fill the z cache once: frozen factors are fixed all row.
-                fill_zcache(
-                    src,
-                    &ids[rng.clone()],
-                    stream.row_foreign(i),
-                    rank,
-                    &mut s.zcache,
-                );
+                fill_zcache(src, stream.row_foreign(i), rng.len(), rank, &mut s.zcache);
                 let row_logs = &logs[rng];
                 newton_row(s, row_logs, eta, config, u, false);
                 if !fused {

@@ -14,8 +14,8 @@
 
 use crate::als::objective;
 use crate::convergence::{StopRule, Trace};
-use crate::sweep::{build_streams, fill_zcache, needs_cache, z_source};
-use cpr_tensor::{CpDecomp, ModeIndex, SparseTensor, SweepCache};
+use crate::sweep::{build_streams, fill_zcache, foreign_factors, z_source};
+use cpr_tensor::{CpDecomp, ModeIndex, SparseTensor};
 
 /// CCD configuration.
 #[derive(Debug, Clone, Copy)]
@@ -104,12 +104,12 @@ fn ccd_row_loss(zcache: &[f64], vals: &[f64], rank: usize, u: &[f64]) -> f64 {
 
 /// Run CCD tensor completion, updating `cp` in place.
 ///
-/// This is the **streamed** sweep: per-row leave-one-out caches are filled
-/// from the partial-product [`SweepCache`] (amortized `O(R)` per
-/// observation per mode) through rank-monomorphized kernels, the values
-/// come slot-contiguously from per-mode streams, and the per-sweep
-/// objective is fused into the last mode's row updates (the data loss of a
-/// row follows from the `z`-cache it already holds) instead of a separate
+/// This is the **streamed** sweep: per-row leave-one-out caches are
+/// gathered directly from the foreign factor rows each stream slot names
+/// through rank-monomorphized kernels, the values come slot-contiguously
+/// from per-mode streams, and the per-sweep objective is fused into the
+/// last mode's row updates (the data loss of a row follows from the
+/// `z`-cache it already holds) instead of a separate
 /// `O(|Ω| d R)` evaluation pass. The retained naive path [`ccd_reference`]
 /// is pinned bitwise-equal by proptests.
 pub fn ccd(cp: &mut CpDecomp, obs: &SparseTensor, config: &CcdConfig) -> Trace {
@@ -122,16 +122,11 @@ pub fn ccd(cp: &mut CpDecomp, obs: &SparseTensor, config: &CcdConfig) -> Trace {
     let rank = cp.rank();
     let streams = build_streams(obs);
 
-    let use_cache = needs_cache(d);
     let mut trace = Trace::default();
     let mut prev = objective(cp, obs, config.lambda);
-    let mut cache = SweepCache::new();
     let mut zcache: Vec<f64> = Vec::new();
     let mut mcache: Vec<f64> = Vec::new();
     for _sweep in 0..config.stop.max_sweeps {
-        if use_cache {
-            cache.begin_sweep(cp, obs);
-        }
         let mut data_loss = 0.0;
         for (mode, stream) in streams.iter().enumerate() {
             let fused = mode + 1 == d;
@@ -142,20 +137,20 @@ pub fn ccd(cp: &mut CpDecomp, obs: &SparseTensor, config: &CcdConfig) -> Trace {
                     1.0
                 }
             };
-            for i in 0..cp.dims()[mode] {
+            // Borrow-split as in ALS: the free factor is updated row by row
+            // while `z` is gathered from the frozen ones.
+            let mut factor = cp.take_factor(mode);
+            let frozen: &CpDecomp = cp;
+            let foreign = foreign_factors(frozen, mode);
+            let src = z_source(&foreign, mode);
+            for i in 0..factor.rows() {
                 let rng = stream.row_range(i);
                 if rng.is_empty() {
                     continue;
                 }
-                let ids = &stream.entry_ids()[rng.clone()];
                 let vals = &stream.values()[rng];
-                // The z source borrows the frozen factors; scope it so the
-                // row's mutable borrow below can begin.
-                {
-                    let src = z_source(cp, &cache, mode);
-                    fill_zcache(src, ids, stream.row_foreign(i), rank, &mut zcache);
-                }
-                let u = cp.factor_mut(mode).row_mut(i);
+                fill_zcache(src, stream.row_foreign(i), vals.len(), rank, &mut zcache);
+                let u = factor.row_mut(i);
                 ccd_row_update(
                     &zcache,
                     vals,
@@ -169,9 +164,7 @@ pub fn ccd(cp: &mut CpDecomp, obs: &SparseTensor, config: &CcdConfig) -> Trace {
                     data_loss += ccd_row_loss(&zcache, vals, rank, u);
                 }
             }
-            if !fused && use_cache {
-                cache.advance(mode, cp.factor(mode), obs);
-            }
+            cp.set_factor(mode, factor);
         }
         let reg: f64 = cp.factors().iter().map(|f| f.fro_norm_sq()).sum();
         let g = data_loss + config.lambda * reg;

@@ -17,8 +17,8 @@
 
 //!
 //! Every sweep optimizer runs **streamed**: packed per-mode observation
-//! layouts ([`cpr_tensor::ModeStream`]), sweep-ordered partial-product
-//! leave-one-out caching ([`cpr_tensor::SweepCache`]), and
+//! layouts ([`cpr_tensor::ModeStream`]), leave-one-out vectors gathered
+//! directly from the foreign factor rows in the canonical fold order, and
 //! rank-monomorphized normal-equation kernels (see [`sweep`]). Each keeps a
 //! retained naive reference path (`als_reference`, `amn_reference`,
 //! `ccd_reference`, `tucker_als_reference`) that the streamed path is

@@ -1,12 +1,15 @@
 //! Streamed sweep infrastructure shared by the completion optimizers:
-//! per-mode observation streams, partial-product `z` sourcing, and the
+//! per-mode observation streams, leave-one-out `z` sourcing, and the
 //! rank-monomorphized normal-equation kernels.
 //!
 //! This is the fit-side analog of the serving layer's compiled query path:
 //! instead of chasing `entries[e] → indices[e*d..] → factor rows` per
-//! observation, a sweep reads flat [`ModeStream`] arrays and two
-//! entry-major partial-product operands from a [`cpr_tensor::SweepCache`]
-//! (`z = prefix ⊙ suffix`, amortized `O(R)` per observation per mode).
+//! observation, a sweep reads flat [`ModeStream`] arrays and gathers each
+//! observation's `z` straight from the `d − 1` foreign factor rows named by
+//! the stream's materialized foreign indices (`ZSource`). The gather
+//! folds the rows in exactly the order of
+//! [`CpDecomp::leave_one_out_canonical`], so every `z` is the canonical one
+//! bit-for-bit at every order.
 //!
 //! The ranks the paper sweeps cluster at small powers of two, so the
 //! hottest kernels — the `gram += z zᵀ` / `rhs += t z` rank-1 updates and
@@ -17,7 +20,7 @@
 //! counterpart, so the dispatch is bitwise invisible — the determinism
 //! contract the streamed-vs-reference proptests pin.
 
-use cpr_tensor::{CpDecomp, ModeStream, SparseTensor, SweepCache};
+use cpr_tensor::{CpDecomp, ModeStream, SparseTensor};
 
 /// Build the per-mode observation streams of a fit (one counting-sort pass
 /// per mode; shared by ALS/AMN/CCD/Tucker-ALS and cached across streaming
@@ -26,76 +29,54 @@ pub fn build_streams(obs: &SparseTensor) -> Vec<ModeStream> {
     (0..obs.order()).map(|m| obs.mode_stream(m)).collect()
 }
 
-/// Orders above this use the partial-product cache; at or below it the
-/// kernels gather foreign factor rows directly.
-///
-/// The crossover is a locality trade, measured on the bench scales: at
-/// `d ≤ 3` a `z` needs at most two foreign rows, and the factor matrices
-/// (`I_j · R` doubles) stay L1-resident — gathering them directly through
-/// the stream's materialized foreign indices is pure cache hits. The
-/// prefix/suffix operands, by contrast, are `|Ω| · R` entry-indexed arrays
-/// whose scattered per-entry gathers miss to L2 and cost more than they
-/// save. From `d ≥ 4` the cache's amortized `O(R)` beats the `O(dR)`
-/// regather and wins. Both sources produce the canonical leave-one-out
-/// `z` bitwise (at `d ≤ 3` every association coincides), so the switch is
-/// invisible to the determinism contract.
-pub(crate) const DIRECT_Z_MAX_ORDER: usize = 3;
+/// The foreign factors of one mode update: every factor but `mode`'s, in
+/// ascending mode order, as flat row-major slices (stride = rank). Slot
+/// `k` of a mode's stream names its row of foreign factor `j` at
+/// `foreign[k * (d − 1) + j]`. `frozen` may have `mode`'s factor taken.
+pub(crate) fn foreign_factors(frozen: &CpDecomp, mode: usize) -> Vec<&[f64]> {
+    (0..frozen.order())
+        .filter(|&j| j != mode)
+        .map(|j| frozen.factor(j).as_slice())
+        .collect()
+}
 
-/// Where a mode's leave-one-out vectors come from.
+/// Where a mode's leave-one-out vectors come from: direct gathers of the
+/// foreign factor rows (see [`foreign_factors`]).
 ///
-/// All variants produce the canonical `z` of
+/// Every variant produces the canonical `z` of
 /// [`CpDecomp::leave_one_out_canonical`] bit-for-bit.
 #[derive(Clone, Copy)]
 pub(crate) enum ZSource<'a> {
     /// Order-1 model: empty product.
     Ones,
-    /// Order 2: `z` is a copy of the single foreign factor's row
-    /// (flat row-major factor data, stride = rank).
+    /// Order 2: `z` is a copy of the single foreign factor's row.
     One(&'a [f64]),
     /// Order 3: `z` is the Hadamard product of the two foreign factors'
     /// rows, ascending mode order.
     Two(&'a [f64], &'a [f64]),
-    /// Order ≥ 4: partial-product operands `(prefix, suffix)` from a
-    /// [`SweepCache`], entry-major `rank`-wide blocks; `None` means an
-    /// implicit all-ones operand.
-    Parts(Option<&'a [f64]>, Option<&'a [f64]>),
+    /// Order ≥ 4: the `d − 1` foreign factors and the free mode `m` (the
+    /// number of foreign factors before it). `z = P ⊙ S` with `P` the
+    /// ascending left fold of foreign factors `0..m` and `S` the descending
+    /// right fold of `m..d−1`, each from an all-ones start — the canonical
+    /// association, recomputed per observation in `O(dR)` from rows that
+    /// stay cache-resident.
+    Fold(&'a [&'a [f64]], usize),
 }
 
-/// Pick the `z` source for one mode: direct factor gathers at low order,
-/// the partial-product cache otherwise. `frozen` is the model with the
-/// mode's factor taken (foreign factors are intact).
-pub(crate) fn z_source<'a>(
-    frozen: &'a CpDecomp,
-    cache: &'a SweepCache,
-    mode: usize,
-) -> ZSource<'a> {
-    let d = frozen.order();
-    match d {
-        1 => ZSource::Ones,
-        2 => ZSource::One(frozen.factor(if mode == 0 { 1 } else { 0 }).as_slice()),
-        3 => {
-            let mut others = (0..3).filter(|&j| j != mode);
-            let j0 = others.next().unwrap();
-            let j1 = others.next().unwrap();
-            ZSource::Two(frozen.factor(j0).as_slice(), frozen.factor(j1).as_slice())
-        }
-        _ => {
-            let (p, s) = cache.z_parts(mode);
-            ZSource::Parts(p, s)
-        }
+/// Pick the `z` source of free mode `mode` over its foreign factors.
+pub(crate) fn z_source<'a>(foreign: &'a [&'a [f64]], mode: usize) -> ZSource<'a> {
+    match *foreign {
+        [] => ZSource::Ones,
+        [f0] => ZSource::One(f0),
+        [f0, f1] => ZSource::Two(f0, f1),
+        _ => ZSource::Fold(foreign, mode),
     }
 }
 
-/// True when the sweep needs a live [`SweepCache`] (order ≥ 4).
-pub(crate) fn needs_cache(order: usize) -> bool {
-    order > DIRECT_Z_MAX_ORDER
-}
-
 /// Load one observation's `z` into a fixed-size array. `k` is the slot
-/// index within the row (indexes `foreign`), `e` the original entry id
-/// (indexes the partial-product operands).
+/// index within the row (indexes `foreign`).
 #[inline(always)]
-fn load_z<const R: usize>(src: &ZSource<'_>, foreign: &[u32], k: usize, e: usize) -> [f64; R] {
+fn load_z<const R: usize>(src: &ZSource<'_>, foreign: &[u32], k: usize) -> [f64; R] {
     let mut z = [1.0f64; R];
     match *src {
         ZSource::Ones => {}
@@ -115,18 +96,35 @@ fn load_z<const R: usize>(src: &ZSource<'_>, foreign: &[u32], k: usize, e: usize
                 z[r] = r0[r] * r1[r];
             }
         }
-        ZSource::Parts(zp, zs) => match (zp, zs) {
-            (Some(p), Some(s)) => {
-                let pb = &p[e * R..(e + 1) * R];
-                let sb = &s[e * R..(e + 1) * R];
+        ZSource::Fold(factors, split) => {
+            let fd = factors.len();
+            let idx = &foreign[k * fd..(k + 1) * fd];
+            let row = |j: usize| {
+                let i = idx[j] as usize;
+                &factors[j][i * R..(i + 1) * R]
+            };
+            let mut s = [1.0f64; R];
+            for j in (split..fd).rev() {
+                let u = row(j);
                 for r in 0..R {
-                    z[r] = pb[r] * sb[r];
+                    s[r] *= u[r];
                 }
             }
-            (Some(p), None) => z.copy_from_slice(&p[e * R..(e + 1) * R]),
-            (None, Some(s)) => z.copy_from_slice(&s[e * R..(e + 1) * R]),
-            (None, None) => {}
-        },
+            if split == 0 {
+                return s;
+            }
+            for j in 0..split {
+                let u = row(j);
+                for r in 0..R {
+                    z[r] *= u[r];
+                }
+            }
+            if split < fd {
+                for r in 0..R {
+                    z[r] *= s[r];
+                }
+            }
+        }
     }
     z
 }
@@ -134,14 +132,7 @@ fn load_z<const R: usize>(src: &ZSource<'_>, foreign: &[u32], k: usize, e: usize
 /// Dynamic-rank counterpart of [`load_z`] (generic fallback), bitwise
 /// identical per element.
 #[inline]
-fn load_z_generic(
-    src: &ZSource<'_>,
-    foreign: &[u32],
-    k: usize,
-    e: usize,
-    rank: usize,
-    z: &mut [f64],
-) {
+fn load_z_generic(src: &ZSource<'_>, foreign: &[u32], k: usize, rank: usize, z: &mut [f64]) {
     match *src {
         ZSource::Ones => z.fill(1.0),
         ZSource::One(f0) => {
@@ -157,24 +148,35 @@ fn load_z_generic(
                 *o = a * b;
             }
         }
-        ZSource::Parts(zp, zs) => match (zp, zs) {
-            (Some(p), Some(s)) => {
-                let pb = &p[e * rank..(e + 1) * rank];
-                let sb = &s[e * rank..(e + 1) * rank];
-                for ((o, &a), &b) in z.iter_mut().zip(pb).zip(sb) {
-                    *o = a * b;
+        ZSource::Fold(factors, split) => {
+            // Element-major so no second rank-wide buffer is needed: each
+            // element's fold is independent, so the per-element operation
+            // sequence is the fixed-rank one.
+            let fd = factors.len();
+            let idx = &foreign[k * fd..(k + 1) * fd];
+            for (r, o) in z.iter_mut().enumerate() {
+                let at = |j: usize| factors[j][idx[j] as usize * rank + r];
+                let mut s = 1.0f64;
+                for j in (split..fd).rev() {
+                    s *= at(j);
                 }
+                if split == 0 {
+                    *o = s;
+                    continue;
+                }
+                let mut p = 1.0f64;
+                for j in 0..split {
+                    p *= at(j);
+                }
+                *o = if split < fd { p * s } else { p };
             }
-            (Some(p), None) => z.copy_from_slice(&p[e * rank..(e + 1) * rank]),
-            (None, Some(s)) => z.copy_from_slice(&s[e * rank..(e + 1) * rank]),
-            (None, None) => z.fill(1.0),
-        },
+        }
     }
 }
 
 /// Accumulate one row's normal equations straight from the `z` source:
 /// `gram += Σ z_e z_eᵀ` (full square), `rhs += Σ t_e z_e`; returns
-/// `Σ t_e²`. `entry_ids`/`foreign`/`values` are the row's slot slices of a
+/// `Σ t_e²`. `foreign`/`values` are the row's slot slices of a
 /// [`ModeStream`]; rank-monomorphized dispatch with a generic fallback
 /// (`z_scratch` is only touched by the fallback).
 /// The per-rank kernel shapes below look interchangeable but compile very
@@ -194,10 +196,8 @@ fn load_z_generic(
 /// All shapes perform the identical per-element operation sequence, so
 /// they are bitwise interchangeable — which one runs is purely a codegen
 /// choice, pinned by `monomorphized_kernels_bitwise_match_generic`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn accumulate_normal_equations_streamed(
     src: ZSource<'_>,
-    entry_ids: &[u32],
     foreign: &[u32],
     values: &[f64],
     rank: usize,
@@ -206,17 +206,17 @@ pub(crate) fn accumulate_normal_equations_streamed(
     z_scratch: &mut [f64],
 ) -> f64 {
     match rank {
-        2 => acc_ne_small::<2>(&src, entry_ids, foreign, values, gram, rhs),
-        4 => acc_ne_small::<4>(&src, entry_ids, foreign, values, gram, rhs),
+        2 => acc_ne_small::<2>(&src, foreign, values, gram, rhs),
+        4 => acc_ne_small::<4>(&src, foreign, values, gram, rhs),
         8 => match src {
             // The hot production configuration (order-3 grids at rank 8):
-            // a dedicated two-entry-unrolled kernel that skips the unused
-            // entry-id stream and halves the gram row traffic.
+            // a dedicated two-entry-unrolled kernel that halves the gram
+            // row traffic.
             ZSource::Two(f0, f1) => acc_two_mid2::<8>(f0, f1, foreign, values, gram, rhs),
-            _ => acc_ne_mid::<8>(&src, entry_ids, foreign, values, gram, rhs),
+            _ => acc_ne_mid::<8>(&src, foreign, values, gram, rhs),
         },
-        16 => acc_ne_wide::<16>(&src, entry_ids, foreign, values, gram, rhs),
-        _ => acc_ne_generic(&src, entry_ids, foreign, values, rank, gram, rhs, z_scratch),
+        16 => acc_ne_wide::<16>(&src, foreign, values, gram, rhs),
+        _ => acc_ne_generic(&src, foreign, values, rank, gram, rhs, z_scratch),
     }
 }
 
@@ -302,7 +302,6 @@ fn acc_two_mid2<const R: usize>(
 #[inline]
 fn acc_ne_small<const R: usize>(
     src: &ZSource<'_>,
-    entry_ids: &[u32],
     foreign: &[u32],
     values: &[f64],
     gram: &mut [f64],
@@ -311,8 +310,8 @@ fn acc_ne_small<const R: usize>(
     let mut g = [[0.0f64; R]; R];
     let mut rh = [0.0f64; R];
     let mut t2 = 0.0;
-    for (k, (&e, &t)) in entry_ids.iter().zip(values).enumerate() {
-        let z = load_z::<R>(src, foreign, k, e as usize);
+    for (k, &t) in values.iter().enumerate() {
+        let z = load_z::<R>(src, foreign, k);
         t2 += t * t;
         for r in 0..R {
             rh[r] += t * z[r];
@@ -335,7 +334,6 @@ fn acc_ne_small<const R: usize>(
 #[inline]
 fn acc_ne_mid<const R: usize>(
     src: &ZSource<'_>,
-    entry_ids: &[u32],
     foreign: &[u32],
     values: &[f64],
     gram: &mut [f64],
@@ -344,8 +342,8 @@ fn acc_ne_mid<const R: usize>(
     gram.fill(0.0);
     rhs.fill(0.0);
     let mut t2 = 0.0;
-    for (k, (&e, &t)) in entry_ids.iter().zip(values).enumerate() {
-        let z = load_z::<R>(src, foreign, k, e as usize);
+    for (k, &t) in values.iter().enumerate() {
+        let z = load_z::<R>(src, foreign, k);
         t2 += t * t;
         for r in 0..R {
             rhs[r] += t * z[r];
@@ -364,7 +362,6 @@ fn acc_ne_mid<const R: usize>(
 #[inline]
 fn acc_ne_wide<const R: usize>(
     src: &ZSource<'_>,
-    entry_ids: &[u32],
     foreign: &[u32],
     values: &[f64],
     gram: &mut [f64],
@@ -376,8 +373,8 @@ fn acc_ne_wide<const R: usize>(
     // dispatch docs).
     let rank = rhs.len();
     let mut t2 = 0.0;
-    for (k, (&e, &t)) in entry_ids.iter().zip(values).enumerate() {
-        let z = load_z::<R>(src, foreign, k, e as usize);
+    for (k, &t) in values.iter().enumerate() {
+        let z = load_z::<R>(src, foreign, k);
         t2 += t * t;
         for (r, &za) in rhs.iter_mut().zip(&z) {
             *r += t * za;
@@ -391,10 +388,8 @@ fn acc_ne_wide<const R: usize>(
     t2
 }
 
-#[allow(clippy::too_many_arguments)]
 fn acc_ne_generic(
     src: &ZSource<'_>,
-    entry_ids: &[u32],
     foreign: &[u32],
     values: &[f64],
     rank: usize,
@@ -405,8 +400,8 @@ fn acc_ne_generic(
     gram.fill(0.0);
     rhs.fill(0.0);
     let mut t2 = 0.0;
-    for (k, (&e, &t)) in entry_ids.iter().zip(values).enumerate() {
-        load_z_generic(src, foreign, k, e as usize, rank, z);
+    for (k, &t) in values.iter().enumerate() {
+        load_z_generic(src, foreign, k, rank, z);
         t2 += t * t;
         for (r, &za) in rhs.iter_mut().zip(&*z) {
             *r += t * za;
@@ -420,28 +415,29 @@ fn acc_ne_generic(
     t2
 }
 
-/// Fill a row's `z`-cache (`entry_ids.len() * rank` contiguous) from the
-/// `z` source — what AMN's Newton iterations and CCD's scalar updates
-/// re-read all row. Rank-monomorphized like the normal-equation kernel.
+/// Fill a row's `z`-cache (`len * rank` contiguous, one `z` per slot of
+/// the row) from the `z` source — what AMN's Newton iterations and CCD's
+/// scalar updates re-read all row. Rank-monomorphized like the
+/// normal-equation kernel.
 pub(crate) fn fill_zcache(
     src: ZSource<'_>,
-    entry_ids: &[u32],
     foreign: &[u32],
+    len: usize,
     rank: usize,
     zcache: &mut Vec<f64>,
 ) {
     zcache.clear();
-    zcache.reserve(entry_ids.len() * rank);
+    zcache.reserve(len * rank);
     match rank {
-        2 => fill_zcache_fixed::<2>(&src, entry_ids, foreign, zcache),
-        4 => fill_zcache_fixed::<4>(&src, entry_ids, foreign, zcache),
-        8 => fill_zcache_fixed::<8>(&src, entry_ids, foreign, zcache),
-        16 => fill_zcache_fixed::<16>(&src, entry_ids, foreign, zcache),
+        2 => fill_zcache_fixed::<2>(&src, foreign, len, zcache),
+        4 => fill_zcache_fixed::<4>(&src, foreign, len, zcache),
+        8 => fill_zcache_fixed::<8>(&src, foreign, len, zcache),
+        16 => fill_zcache_fixed::<16>(&src, foreign, len, zcache),
         _ => {
-            for (k, &e) in entry_ids.iter().enumerate() {
+            for k in 0..len {
                 let start = zcache.len();
                 zcache.resize(start + rank, 0.0);
-                load_z_generic(&src, foreign, k, e as usize, rank, &mut zcache[start..]);
+                load_z_generic(&src, foreign, k, rank, &mut zcache[start..]);
             }
         }
     }
@@ -450,12 +446,12 @@ pub(crate) fn fill_zcache(
 #[inline]
 fn fill_zcache_fixed<const R: usize>(
     src: &ZSource<'_>,
-    entry_ids: &[u32],
     foreign: &[u32],
+    len: usize,
     zcache: &mut Vec<f64>,
 ) {
-    for (k, &e) in entry_ids.iter().enumerate() {
-        let z = load_z::<R>(src, foreign, k, e as usize);
+    for k in 0..len {
+        let z = load_z::<R>(src, foreign, k);
         zcache.extend_from_slice(&z);
     }
 }
@@ -463,7 +459,7 @@ fn fill_zcache_fixed<const R: usize>(
 /// Accumulate one row's normal equations from an already-materialized
 /// design cache (`zcache`: `values.len() * rank` contiguous rows) — the
 /// Tucker factor path, whose design vectors come from a core contraction
-/// rather than the Hadamard cache. Same per-element operation sequence as
+/// rather than a Hadamard product of factor rows. Same per-element operation sequence as
 /// the streamed kernel.
 pub(crate) fn accumulate_normal_equations_cached(
     zcache: &[f64],
@@ -601,7 +597,7 @@ pub(crate) fn fused_quadratic_loss(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpr_tensor::{CpDecomp, SweepCache};
+    use cpr_tensor::CpDecomp;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -615,8 +611,8 @@ mod tests {
         let obs = random_obs(&dims, 2764, 42);
         let cp = CpDecomp::random(&dims, rank, 0.0, 1.0, 7);
         let stream = obs.mode_stream(0);
-        let cache = SweepCache::new();
-        let src = z_source(&cp, &cache, 0);
+        let foreign = foreign_factors(&cp, 0);
+        let src = z_source(&foreign, 0);
         let mut gram = vec![0.0; rank * rank];
         let mut rhs = vec![0.0; rank];
         let mut zs = vec![0.0; rank];
@@ -631,7 +627,6 @@ mod tests {
                 }
                 acc += accumulate_normal_equations_streamed(
                     src,
-                    &stream.entry_ids()[rng.clone()],
                     stream.row_foreign(i),
                     &stream.values()[rng],
                     rank,
@@ -663,59 +658,61 @@ mod tests {
 
     /// Monomorphized and generic accumulators must agree bitwise — they
     /// are the same operation sequence with different loop trip counts —
-    /// across both `z` sources (direct gathers at order 3, partial
-    /// products at order 4) and against the canonical per-entry `z`.
+    /// across every `z` source (the order-2 and order-3 gathers and the
+    /// fold at orders 4, 6 and 9, every free mode) and against the
+    /// canonical per-entry `z`.
     #[test]
     fn monomorphized_kernels_bitwise_match_generic() {
-        for &(ref dims, mode) in &[(vec![5usize, 4, 3], 1usize), (vec![3, 3, 2, 3], 2)] {
-            for &rank in &[2usize, 4, 8, 16] {
+        let cases = [
+            vec![4usize, 3],
+            vec![5, 4, 3],
+            vec![3, 3, 2, 3],
+            vec![3, 2, 3, 2, 3, 2],
+            vec![2, 3, 2, 2, 3, 2, 2, 3, 2],
+        ];
+        for dims in &cases {
+            for &rank in &[2usize, 3, 4, 8, 16] {
                 let obs = random_obs(dims, 30, rank as u64);
                 let cp = CpDecomp::random(dims, rank, -1.0, 1.0, 7);
-                let mut cache = SweepCache::new();
-                if needs_cache(dims.len()) {
-                    cache.begin_sweep(&cp, &obs);
-                    // A real sweep advances the prefix past every mode
-                    // before `mode`; mirror that so the cache state is the
-                    // one the canonical z expects.
-                    for m in 0..mode {
-                        cache.advance(m, cp.factor(m), &obs);
-                    }
-                }
-                let stream = obs.mode_stream(mode);
-                let src = z_source(&cp, &cache, mode);
-                for i in 0..stream.rows() {
-                    let rng = stream.row_range(i);
-                    if rng.is_empty() {
-                        continue;
-                    }
-                    let ids = &stream.entry_ids()[rng.clone()];
-                    let foreign = stream.row_foreign(i);
-                    let vals = &stream.values()[rng];
-                    let mut g1 = vec![0.0; rank * rank];
-                    let mut r1 = vec![0.0; rank];
-                    let mut zs = vec![0.0; rank];
-                    let t2a = accumulate_normal_equations_streamed(
-                        src, ids, foreign, vals, rank, &mut g1, &mut r1, &mut zs,
-                    );
-                    let mut g2 = vec![0.0; rank * rank];
-                    let mut r2 = vec![0.0; rank];
-                    let t2b =
-                        acc_ne_generic(&src, ids, foreign, vals, rank, &mut g2, &mut r2, &mut zs);
-                    assert_eq!(t2a.to_bits(), t2b.to_bits());
-                    for (a, b) in g1.iter().zip(&g2) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "gram rank {rank}");
-                    }
-                    for (a, b) in r1.iter().zip(&r2) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "rhs rank {rank}");
-                    }
-                    // z-cache fill agrees with the canonical z per entry.
-                    let mut zc = Vec::new();
-                    fill_zcache(src, ids, foreign, rank, &mut zc);
-                    let mut zref = vec![0.0; rank];
-                    for (k, &e) in ids.iter().enumerate() {
-                        cp.leave_one_out_canonical(obs.index(e as usize), mode, &mut zref);
-                        for (a, b) in zc[k * rank..(k + 1) * rank].iter().zip(&zref) {
-                            assert_eq!(a.to_bits(), b.to_bits(), "zcache rank {rank}");
+                for mode in 0..dims.len() {
+                    let stream = obs.mode_stream(mode);
+                    let factors = foreign_factors(&cp, mode);
+                    let src = z_source(&factors, mode);
+                    for i in 0..stream.rows() {
+                        let rng = stream.row_range(i);
+                        if rng.is_empty() {
+                            continue;
+                        }
+                        let ids = &stream.entry_ids()[rng.clone()];
+                        let foreign = stream.row_foreign(i);
+                        let vals = &stream.values()[rng];
+                        let mut g1 = vec![0.0; rank * rank];
+                        let mut r1 = vec![0.0; rank];
+                        let mut zs = vec![0.0; rank];
+                        let t2a = accumulate_normal_equations_streamed(
+                            src, foreign, vals, rank, &mut g1, &mut r1, &mut zs,
+                        );
+                        let mut g2 = vec![0.0; rank * rank];
+                        let mut r2 = vec![0.0; rank];
+                        let t2b =
+                            acc_ne_generic(&src, foreign, vals, rank, &mut g2, &mut r2, &mut zs);
+                        let what = format!("order {} mode {mode} rank {rank}", dims.len());
+                        assert_eq!(t2a.to_bits(), t2b.to_bits(), "{what}");
+                        for (a, b) in g1.iter().zip(&g2) {
+                            assert_eq!(a.to_bits(), b.to_bits(), "gram {what}");
+                        }
+                        for (a, b) in r1.iter().zip(&r2) {
+                            assert_eq!(a.to_bits(), b.to_bits(), "rhs {what}");
+                        }
+                        // z-cache fill agrees with the canonical z per entry.
+                        let mut zc = Vec::new();
+                        fill_zcache(src, foreign, ids.len(), rank, &mut zc);
+                        let mut zref = vec![0.0; rank];
+                        for (k, &e) in ids.iter().enumerate() {
+                            cp.leave_one_out_canonical(obs.index(e as usize), mode, &mut zref);
+                            for (a, b) in zc[k * rank..(k + 1) * rank].iter().zip(&zref) {
+                                assert_eq!(a.to_bits(), b.to_bits(), "zcache {what}");
+                            }
                         }
                     }
                 }

@@ -6,7 +6,9 @@
 //! on the worker count. These tests pin that contract by running the same
 //! fit under a 1-thread and a 4-thread pool (`ThreadPool::install`, the
 //! same mechanism a `CPR_NUM_THREADS` override feeds) and comparing every
-//! factor entry by bit pattern, plus the recorded objective traces.
+//! factor entry by bit pattern, plus the recorded objective traces. The
+//! CP optimizers run an order-3 problem and an order-6 one, where every
+//! leave-one-out vector comes from the multi-row fold.
 
 use cpr_completion::{
     als, amn, ccd, init_positive, tucker_als, AlsConfig, AmnConfig, CcdConfig, StopRule,
@@ -64,48 +66,54 @@ fn assert_traces_bitwise_equal(a: &[f64], b: &[f64], what: &str) {
 
 #[test]
 fn als_is_bitwise_identical_across_thread_counts() {
-    let obs = sampled_obs(&[13, 9, 11], 3, 0.3, 5);
-    let cfg = AlsConfig {
-        lambda: 1e-7,
-        stop: StopRule {
-            max_sweeps: 25,
-            tol: 1e-12,
-        },
-        scale_by_count: true,
-    };
-    let fit = || {
-        let mut cp = CpDecomp::random(&[13, 9, 11], 3, 0.0, 1.0, 17);
-        let trace = als(&mut cp, &obs, &cfg);
-        (cp, trace)
-    };
-    let (cp1, tr1) = pool(1).install(fit);
-    let (cp4, tr4) = pool(4).install(fit);
-    assert_factors_bitwise_equal(&cp1, &cp4, "ALS");
-    assert_traces_bitwise_equal(&tr1.objective, &tr4.objective, "ALS");
-    assert_eq!(tr1.converged, tr4.converged);
+    for (dims, seed) in [(&[13, 9, 11][..], 5), (&[4, 3, 4, 3, 3, 4][..], 6)] {
+        let obs = sampled_obs(dims, 3, 0.3, seed);
+        let cfg = AlsConfig {
+            lambda: 1e-7,
+            stop: StopRule {
+                max_sweeps: 25,
+                tol: 1e-12,
+            },
+            scale_by_count: true,
+        };
+        let fit = || {
+            let mut cp = CpDecomp::random(dims, 3, 0.0, 1.0, 17);
+            let trace = als(&mut cp, &obs, &cfg);
+            (cp, trace)
+        };
+        let what = format!("ALS order {}", dims.len());
+        let (cp1, tr1) = pool(1).install(fit);
+        let (cp4, tr4) = pool(4).install(fit);
+        assert_factors_bitwise_equal(&cp1, &cp4, &what);
+        assert_traces_bitwise_equal(&tr1.objective, &tr4.objective, &what);
+        assert_eq!(tr1.converged, tr4.converged);
+    }
 }
 
 #[test]
 fn amn_is_bitwise_identical_across_thread_counts() {
-    let obs = sampled_obs(&[8, 7, 6], 2, 0.4, 9);
-    let cfg = AmnConfig {
-        lambda: 1e-6,
-        stop: StopRule {
-            max_sweeps: 8,
-            tol: 1e-10,
-        },
-        ..Default::default()
-    };
-    let gm = (obs.values().iter().map(|v| v.ln()).sum::<f64>() / obs.nnz() as f64).exp();
-    let fit = || {
-        let mut cp = init_positive(&[8, 7, 6], 2, gm, 23);
-        let trace = amn(&mut cp, &obs, &cfg);
-        (cp, trace)
-    };
-    let (cp1, tr1) = pool(1).install(fit);
-    let (cp4, tr4) = pool(4).install(fit);
-    assert_factors_bitwise_equal(&cp1, &cp4, "AMN");
-    assert_traces_bitwise_equal(&tr1.objective, &tr4.objective, "AMN");
+    for (dims, seed) in [(&[8, 7, 6][..], 9), (&[3, 4, 3, 3, 4, 3][..], 10)] {
+        let obs = sampled_obs(dims, 2, 0.4, seed);
+        let cfg = AmnConfig {
+            lambda: 1e-6,
+            stop: StopRule {
+                max_sweeps: 8,
+                tol: 1e-10,
+            },
+            ..Default::default()
+        };
+        let gm = (obs.values().iter().map(|v| v.ln()).sum::<f64>() / obs.nnz() as f64).exp();
+        let fit = || {
+            let mut cp = init_positive(dims, 2, gm, 23);
+            let trace = amn(&mut cp, &obs, &cfg);
+            (cp, trace)
+        };
+        let what = format!("AMN order {}", dims.len());
+        let (cp1, tr1) = pool(1).install(fit);
+        let (cp4, tr4) = pool(4).install(fit);
+        assert_factors_bitwise_equal(&cp1, &cp4, &what);
+        assert_traces_bitwise_equal(&tr1.objective, &tr4.objective, &what);
+    }
 }
 
 #[test]
@@ -140,22 +148,25 @@ fn tucker_als_is_bitwise_identical_across_thread_counts() {
 fn ccd_is_unaffected_by_pool_width() {
     // CCD is inherently sequential; installing a wide pool must not change
     // anything it computes.
-    let obs = sampled_obs(&[7, 6, 5], 2, 0.5, 19);
-    let cfg = CcdConfig {
-        lambda: 1e-7,
-        stop: StopRule {
-            max_sweeps: 10,
-            tol: 1e-12,
-        },
-        scale_by_count: true,
-    };
-    let fit = || {
-        let mut cp = CpDecomp::random(&[7, 6, 5], 2, 0.1, 1.0, 37);
-        let trace = ccd(&mut cp, &obs, &cfg);
-        (cp, trace)
-    };
-    let (cp1, tr1) = pool(1).install(fit);
-    let (cp4, tr4) = pool(4).install(fit);
-    assert_factors_bitwise_equal(&cp1, &cp4, "CCD");
-    assert_traces_bitwise_equal(&tr1.objective, &tr4.objective, "CCD");
+    for (dims, seed) in [(&[7, 6, 5][..], 19), (&[3, 3, 4, 3, 3, 4][..], 20)] {
+        let obs = sampled_obs(dims, 2, 0.5, seed);
+        let cfg = CcdConfig {
+            lambda: 1e-7,
+            stop: StopRule {
+                max_sweeps: 10,
+                tol: 1e-12,
+            },
+            scale_by_count: true,
+        };
+        let fit = || {
+            let mut cp = CpDecomp::random(dims, 2, 0.1, 1.0, 37);
+            let trace = ccd(&mut cp, &obs, &cfg);
+            (cp, trace)
+        };
+        let what = format!("CCD order {}", dims.len());
+        let (cp1, tr1) = pool(1).install(fit);
+        let (cp4, tr4) = pool(4).install(fit);
+        assert_factors_bitwise_equal(&cp1, &cp4, &what);
+        assert_traces_bitwise_equal(&tr1.objective, &tr4.objective, &what);
+    }
 }

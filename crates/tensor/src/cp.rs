@@ -271,8 +271,8 @@ impl CpDecomp {
     }
 
     /// The *canonical* leave-one-out product `z = P ⊙ S`, the fit-path
-    /// specification that [`SweepCache`] reproduces with cached partial
-    /// products:
+    /// specification that the streamed sweeps' direct gathers reproduce
+    /// bit-for-bit by folding the same rows in the same order:
     ///
     /// ```text
     ///   P = (…((1 ⊙ U_0) ⊙ U_1) … ⊙ U_{m−1})        (left fold, ascending)
@@ -328,138 +328,6 @@ impl CpDecomp {
         if mode + 1 < d {
             for (p, &s) in out.iter_mut().zip(&*suffix) {
                 *p *= s;
-            }
-        }
-    }
-}
-
-/// Sweep-ordered partial-product cache: per-observation prefix/suffix
-/// Hadamard products across the Gauss-Seidel mode order, so each
-/// observation's leave-one-out vector `z` costs amortized `O(R)` per mode
-/// instead of the `O(dR)` full regather — the dimension-tree trick of the
-/// tensor-completion literature, applied along a sweep.
-///
-/// Lifecycle per sweep, for modes updated in ascending order:
-///
-/// 1. [`Self::begin_sweep`] — reset `prefix` to ones and compute every
-///    suffix level `S_m(e) = Π_{j>m} U_j[i_j(e)]` by one backward pass over
-///    the (pre-sweep) factors.
-/// 2. At mode `m`, `z(e) = prefix(e) ⊙ S_m(e)` via [`Self::z_parts`] /
-///    [`Self::z_into`] — bitwise equal to
-///    [`CpDecomp::leave_one_out_canonical`] on the current factors.
-/// 3. After mode `m`'s rows are solved, [`Self::advance`] folds the
-///    *updated* factor into the prefix: `prefix(e) *= U_m[i_m(e)]`.
-///
-/// Suffix levels are frozen at sweep start, which is exactly right: a
-/// Gauss-Seidel sweep reads mode `j > m` factors in their pre-sweep state
-/// until mode `j` itself is updated. All state is entry-id indexed; row
-/// solves only read the cache, so parallel row updates stay deterministic.
-#[derive(Debug, Clone, Default)]
-pub struct SweepCache {
-    rank: usize,
-    nnz: usize,
-    order: usize,
-    /// `nnz x rank`, entry-major: `Π_{j<m} U_j[i_j(e)]` for the current `m`.
-    prefix: Vec<f64>,
-    /// Levels `m = 0..order-1`, each `nnz x rank`, entry-major, level `m`
-    /// at offset `m * nnz * rank`. Level `order-1` (empty product) is
-    /// implicit ones and not stored.
-    suffix: Vec<f64>,
-}
-
-impl SweepCache {
-    /// Empty cache; [`Self::begin_sweep`] sizes it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Reset for a new sweep of `cp` over `obs`: prefix to ones, suffix
-    /// levels recomputed from the current factors (one backward pass,
-    /// `O(|Ω| d R)`).
-    pub fn begin_sweep(&mut self, cp: &CpDecomp, obs: &SparseTensor) {
-        let d = cp.order();
-        let rank = cp.rank();
-        let nnz = obs.nnz();
-        self.rank = rank;
-        self.nnz = nnz;
-        self.order = d;
-        self.prefix.clear();
-        self.prefix.resize(nnz * rank, 1.0);
-        let levels = d.saturating_sub(1);
-        self.suffix.clear();
-        self.suffix.resize(levels * nnz * rank, 1.0);
-        // Backward pass: level d-2 = rows of U_{d-1}; level m = U_{m+1} ⊙
-        // level m+1. Operand order `u * s` matches the canonical right fold.
-        for m in (0..levels).rev() {
-            let (lo, hi) = self.suffix.split_at_mut((m + 1) * nnz * rank);
-            let dst = &mut lo[m * nnz * rank..];
-            let src: Option<&[f64]> = if m + 1 < levels {
-                Some(&hi[..nnz * rank])
-            } else {
-                None
-            };
-            let factor = cp.factor(m + 1);
-            for e in 0..nnz {
-                let row = factor.row(obs.index(e)[m + 1] as usize);
-                let db = &mut dst[e * rank..(e + 1) * rank];
-                match src {
-                    Some(s) => {
-                        let sb = &s[e * rank..(e + 1) * rank];
-                        for ((o, &u), &sv) in db.iter_mut().zip(row).zip(sb) {
-                            *o = u * sv;
-                        }
-                    }
-                    None => db.copy_from_slice(row),
-                }
-            }
-        }
-    }
-
-    /// The entry-major `z` operand blocks for one mode:
-    /// `(prefix, suffix_level)`. `None` means an implicit all-ones operand
-    /// (first mode has no prefix contribution, last mode no suffix). Kernels
-    /// read block `e*rank..(e+1)*rank` of each present operand and multiply
-    /// elementwise, prefix first.
-    pub fn z_parts(&self, mode: usize) -> (Option<&[f64]>, Option<&[f64]>) {
-        let nr = self.nnz * self.rank;
-        let p = (mode > 0).then_some(&self.prefix[..]);
-        let s = (mode + 1 < self.order).then(|| &self.suffix[mode * nr..(mode + 1) * nr]);
-        (p, s)
-    }
-
-    /// Materialize `z(e)` for one entry at the current mode (reference and
-    /// cache-building convenience; hot kernels read [`Self::z_parts`]
-    /// directly).
-    #[inline]
-    pub fn z_into(&self, e: usize, mode: usize, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), self.rank);
-        let (p, s) = self.z_parts(mode);
-        let r = self.rank;
-        match (p, s) {
-            (Some(p), Some(s)) => {
-                let pb = &p[e * r..(e + 1) * r];
-                let sb = &s[e * r..(e + 1) * r];
-                for ((o, &a), &b) in out.iter_mut().zip(pb).zip(sb) {
-                    *o = a * b;
-                }
-            }
-            (Some(p), None) => out.copy_from_slice(&p[e * r..(e + 1) * r]),
-            (None, Some(s)) => out.copy_from_slice(&s[e * r..(e + 1) * r]),
-            (None, None) => out.fill(1.0),
-        }
-    }
-
-    /// Fold the just-updated `factor` of `mode` into every entry's prefix
-    /// (`prefix(e) *= U_mode[i_mode(e)]`). Call after the mode's row solves;
-    /// skip for the last mode (the prefix is reset next sweep anyway).
-    pub fn advance(&mut self, mode: usize, factor: &Matrix, obs: &SparseTensor) {
-        debug_assert_eq!(obs.nnz(), self.nnz);
-        let r = self.rank;
-        for e in 0..self.nnz {
-            let row = factor.row(obs.index(e)[mode] as usize);
-            let pb = &mut self.prefix[e * r..(e + 1) * r];
-            for (p, &u) in pb.iter_mut().zip(row) {
-                *p *= u;
             }
         }
     }
@@ -803,50 +671,6 @@ mod tests {
                 assert!((x - y).abs() < 1e-14, "mode {mode}: {x} vs {y}");
             }
         }
-    }
-
-    #[test]
-    fn sweep_cache_reproduces_canonical_z_through_a_gauss_seidel_sweep() {
-        let dims = [4usize, 3, 5, 2];
-        let mut cp = CpDecomp::random(&dims, 3, 0.1, 1.0, 11);
-        let mut obs = SparseTensor::new(&dims);
-        obs.push(&[0, 0, 0, 0], 1.0);
-        obs.push(&[3, 2, 4, 1], 2.0);
-        obs.push(&[1, 1, 2, 0], 3.0);
-        obs.push(&[3, 0, 1, 1], 4.0);
-        let mut cache = SweepCache::new();
-        cache.begin_sweep(&cp, &obs);
-        let mut zc = vec![0.0; 3];
-        let mut zn = vec![0.0; 3];
-        for mode in 0..dims.len() {
-            for e in 0..obs.nnz() {
-                cache.z_into(e, mode, &mut zc);
-                cp.leave_one_out_canonical(obs.index(e), mode, &mut zn);
-                for (x, y) in zc.iter().zip(&zn) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "mode {mode} entry {e}");
-                }
-            }
-            // "Solve" the mode: deterministically perturb its factor, as a
-            // real sweep would overwrite it, then fold it into the prefix.
-            cp.factor_mut(mode).map_mut(|v| v * 1.5 - 0.25);
-            if mode + 1 < dims.len() {
-                cache.advance(mode, cp.factor(mode), &obs);
-            }
-        }
-    }
-
-    #[test]
-    fn sweep_cache_handles_order_one() {
-        let mut obs = SparseTensor::new(&[4]);
-        obs.push(&[2], 1.0);
-        let cp = CpDecomp::random(&[4], 3, 0.1, 1.0, 5);
-        let mut cache = SweepCache::new();
-        cache.begin_sweep(&cp, &obs);
-        let mut z = vec![0.0; 3];
-        cache.z_into(0, 0, &mut z);
-        assert_eq!(z, vec![1.0; 3]);
-        let (p, s) = cache.z_parts(0);
-        assert!(p.is_none() && s.is_none());
     }
 
     #[test]

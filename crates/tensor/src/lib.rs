@@ -18,7 +18,7 @@ pub mod matrix;
 pub mod sparse;
 pub mod tucker;
 
-pub use cp::{khatri_rao, CpDecomp, PackedFactors, SweepCache};
+pub use cp::{khatri_rao, CpDecomp, PackedFactors};
 pub use decomp::Decomposition;
 pub use dense::DenseTensor;
 pub use matrix::Matrix;
