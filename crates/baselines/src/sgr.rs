@@ -17,7 +17,7 @@
 
 use crate::common::Regressor;
 use cpr_tensor::linalg::conjugate_gradient;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// SGR configuration (paper §6.0.4 sweeps).
 #[derive(Debug, Clone, Copy)]
@@ -68,8 +68,12 @@ pub struct SparseGridRegression {
     hi: Vec<f64>,
     points: Vec<GridPoint>,
     weights: Vec<f64>,
-    /// Level-vector -> (index-vector -> point id) lookup.
-    by_level: HashMap<Vec<u8>, HashMap<Vec<u32>, u32>>,
+    /// Level-vector -> (index-vector -> point id) lookup. The outer map is
+    /// ordered: `design_row` iterates it, and that order fixes the order of
+    /// every floating-point sum over a design row, so a hashed map (random
+    /// order per instance) would make fits and predictions differ from run
+    /// to run.
+    by_level: BTreeMap<Vec<u8>, HashMap<Vec<u32>, u32>>,
     y_mean: f64,
 }
 
@@ -113,7 +117,7 @@ impl SparseGridRegression {
             hi: Vec::new(),
             points: Vec::new(),
             weights: Vec::new(),
-            by_level: HashMap::new(),
+            by_level: BTreeMap::new(),
             y_mean: 0.0,
         }
     }
@@ -444,6 +448,31 @@ mod tests {
             / y.len() as f64;
         let var = crate::common::variance(&y);
         assert!(mse < 0.05 * var, "mse {mse} vs var {var}");
+    }
+
+    #[test]
+    fn repeated_fits_predict_bitwise_equal() {
+        // Three features, refined: dozens of level vectors, whose
+        // iteration order sets the summation order of every design row.
+        let x: Vec<Vec<f64>> = (0..600)
+            .map(|i| {
+                let t = i as f64;
+                vec![(t * 0.37).sin(), (t * 0.11).cos() * 3.0, t % 17.0]
+            })
+            .collect();
+        let y: Vec<f64> = x.iter().map(|v| v[0] * v[1] + 0.2 * v[2]).collect();
+        let config = SgrConfig {
+            level: 4,
+            refinements: 2,
+            ..Default::default()
+        };
+        let mut a = SparseGridRegression::new(config);
+        let mut b = SparseGridRegression::new(config);
+        a.fit(&x, &y);
+        b.fit(&x, &y);
+        for xi in &x {
+            assert_eq!(a.predict(xi).to_bits(), b.predict(xi).to_bits());
+        }
     }
 
     #[test]

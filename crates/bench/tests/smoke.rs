@@ -97,3 +97,27 @@ fn every_harness_binary_runs_a_tiny_configuration() {
         "{output:?}"
     );
 }
+
+/// The SGR rows of these two figures depend on the order of every sum over
+/// a sparse-grid design row; two runs of one binary must print the same
+/// bytes.
+#[test]
+fn sgr_figures_print_identical_bytes_run_to_run() {
+    for bin in ["fig4_refinement", "fig7_modelsize"] {
+        let first = run_bin(bin, "--tiny");
+        let second = run_bin(bin, "--tiny");
+        for output in [&first, &second] {
+            assert!(
+                output.status.success(),
+                "{bin} --tiny exited with {}:\n{}",
+                output.status,
+                String::from_utf8_lossy(&output.stderr)
+            );
+        }
+        assert_eq!(
+            String::from_utf8_lossy(&first.stdout),
+            String::from_utf8_lossy(&second.stdout),
+            "{bin} --tiny printed different bytes on a second run"
+        );
+    }
+}

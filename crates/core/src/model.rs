@@ -435,8 +435,9 @@ fn geometric_mean(values: &[f64]) -> f64 {
 const PLAN_STACK_ORDER: usize = 16;
 /// Mirrors `cpr_tensor`'s stack-accumulator rank bound.
 const PLAN_STACK_RANK: usize = 64;
-/// Largest order with its own monomorphized kernel instance (fully
-/// unrolled stencil/corner loops); orders above share one bounded body.
+/// Largest order with its own monomorphized corner-expansion instance
+/// (fully unrolled stencil/corner loops); orders above share one bounded
+/// body.
 const MONO_ORDER_MAX: usize = 6;
 /// Degenerate-stencil marker in the baked per-query scratch: a mode whose
 /// stencil collapsed to a point stores this in place of its hi-corner
@@ -449,35 +450,6 @@ const DEGEN: u32 = u32::MAX;
 /// gather instead.
 const DENSE_EVAL_MAX: usize = 1 << 16;
 
-/// Compiled query path: a one-time "bake" of a fitted [`CprModel`] into a
-/// query-optimized representation.
-///
-/// The naive predict path pays, per call, three heap allocations (stencil
-/// vector, corner index vector, batch collect), a [`cpr_grid::ParamSpec`]
-/// dispatch plus midpoint binary search plus three `h`-transforms per mode,
-/// and per-corner factor gathers that chase `Vec<Matrix>` pointers. The
-/// plan bakes all of it once:
-///
-/// * per-axis [`AxisTable`]s — h-transformed midpoints and bracket widths
-///   precomputed, direct index lookup on linear/log axes (binary search
-///   only on nudged integer axes);
-/// * a [`PackedFactors`] copy of the CP factors — every per-mode gather is
-///   a contiguous rank-length row read from one allocation;
-/// * the observed-row masks, so Eq. 5 stencil masking needs no grid access.
-///
-/// Serving then runs with **zero allocations per query** (stack scratch up
-/// to order 16 / rank 64) and [`Self::predict_into`] fans a batch out over
-/// the crate thread pool in fixed chunks onto a caller-provided buffer.
-///
-/// Determinism contract: `plan.predict(x)` is **bitwise identical** to the
-/// naive reference path [`CprModel::predict_naive`] for every non-NaN
-/// query, at any thread count, and batch outputs are written in input
-/// order. The equivalence is pinned by proptests over random models,
-/// axis kinds, and losses.
-///
-/// A plan is a bake, not a view: [`CprModel`] rebakes it whenever the
-/// factors or observation masks change (fit, deserialization,
-/// [`CprModel::set_row_observed_from`], streaming refits).
 // The registry's shard/hot-swap design shares one baked plan across reader
 // threads; every field is plain owned data, so the auto-impls must never
 // silently disappear under a future field change.
@@ -487,6 +459,53 @@ const _: () = {
     assert_send_sync::<CprModel>();
 };
 
+/// Compiled query path: a one-time "bake" of a fitted [`CprModel`] into a
+/// query-optimized representation.
+///
+/// The naive predict path pays, per call, heap allocations (stencil
+/// vector, corner index or rank vectors), a [`cpr_grid::ParamSpec`]
+/// dispatch plus midpoint binary search plus three `h`-transforms per mode,
+/// and factor reads that chase `Vec<Matrix>` pointers. The plan bakes all
+/// of it once:
+///
+/// * per-axis [`AxisTable`]s — h-transformed midpoints and bracket widths
+///   precomputed, direct index lookup on linear/log axes (binary search
+///   only on nudged integer axes);
+/// * a [`PackedFactors`] copy of the factors — every per-mode read is a
+///   contiguous rank-length row from one allocation;
+/// * the observed-row masks, so Eq. 5 stencil masking needs no grid access;
+/// * for MLogQ² CP and for Tucker plans on grids up to 64k cells, a dense
+///   table of every corner value (see `DenseEval`).
+///
+/// How a query is served depends on the model class:
+///
+/// * **CP under log-least-squares** (the paper's §5.2 model) serves Eq. 5
+///   in *separable* form. Every corner term is linear in the CP factors,
+///   so the `2^d`-corner sum factorizes into one blended row per mode,
+///   `b_j = (1 − w_j)·U_j[lo_j] + w_j·U_j[hi_j]` (just `U_j[lo_j]` for a
+///   point stencil), multiplied elementwise in mode order and summed over
+///   the rank: `O(d·R)` per query instead of `O(2^d·d·R)`. These plans
+///   carry no dense table.
+/// * **MLogQ² CP** interpolates `ln` of the corner values, which does not
+///   factorize: the corner expansion reads the dense table when the grid
+///   has one and gathers factor rows per corner otherwise.
+/// * **Tucker** reads the dense table, or evaluates the core per corner
+///   beyond the cap.
+///
+/// Serving runs with **zero allocations per query** (stack scratch up to
+/// order 16 / rank 64) and [`Self::predict_into`] fans a batch out over
+/// the crate thread pool in fixed chunks onto a caller-provided buffer.
+///
+/// Determinism contract: `plan.predict(x)` and every [`Self::predict_into`]
+/// output are **bitwise identical** to the reference path
+/// [`CprModel::predict_naive`] for every non-NaN query, at any thread
+/// count, and batch outputs are written in input order. The equivalence
+/// is pinned by proptests over random models of orders 1–9, every axis
+/// kind, both losses and random masks.
+///
+/// A plan is a bake, not a view: [`CprModel`] rebakes it whenever the
+/// factors or observation masks change (fit, deserialization,
+/// [`CprModel::set_row_observed_from`], streaming refits).
 #[derive(Debug, Clone)]
 pub struct PredictPlan {
     tables: Vec<AxisTable>,
@@ -496,25 +515,28 @@ pub struct PredictPlan {
     loss: Loss,
     log_offset: f64,
     /// CP rank, or the maximum multilinear rank for Tucker (sizes the
-    /// factor-gather scratch; unused on the dense path).
+    /// rank scratch of the factor kernels; unused on the dense path).
     rank: usize,
     /// The Tucker core behind the bake, when the decomposition is Tucker
     /// (the factor rows already live in `packed`): grids beyond the dense
     /// cap serve corner values through [`cpr_tensor::eval_core_packed`]
-    /// instead of the CP Hadamard kernels.
+    /// instead of the CP kernels.
     tucker_core: Option<cpr_tensor::DenseTensor>,
-    /// Pre-evaluated corner values over the whole grid, when it fits.
+    /// Pre-evaluated corner values over the whole grid, for the plans that
+    /// expand corners (MLogQ² CP, Tucker) when the grid fits.
     dense: Option<DenseEval>,
 }
 
-/// The partial-evaluation half of the bake: corner values depend only on
-/// grid indices, never on the query, so for grids up to [`DENSE_EVAL_MAX`]
-/// cells the plan evaluates the completed tensor at *every* grid point
-/// once. Serving then replaces the per-corner `O(d·R)` factor gather with
-/// one table load. `values[flat]` holds exactly what the naive per-corner
-/// closure computes — `cp.eval(idx)` for the log-least-squares model,
-/// `cp.eval(idx).max(1e-300).ln()` for MLogQ² — so the bitwise contract is
-/// inherited by construction.
+/// The partial-evaluation half of the bake for the plans that expand
+/// corners: corner values depend only on grid indices, never on the query,
+/// so for grids up to [`DENSE_EVAL_MAX`] cells the plan evaluates the
+/// completed tensor at *every* grid point once. Serving then replaces the
+/// per-corner `O(d·R)` factor gather with one table load. `values[flat]`
+/// holds exactly what the naive per-corner closure computes —
+/// `cp.eval(idx).max(1e-300).ln()` for MLogQ² CP, `t.eval(idx)` for
+/// Tucker — so the bitwise contract is inherited by
+/// construction. Separable CP log-least-squares plans never carry one:
+/// their kernel does no per-corner work for a table to save.
 #[derive(Debug, Clone)]
 struct DenseEval {
     values: Vec<f64>,
@@ -525,10 +547,6 @@ struct DenseEval {
 
 impl PredictPlan {
     /// Bake a plan from model parts (used by [`CprModel`] constructors).
-    /// Works for either decomposition variant: the dense corner-value bake
-    /// and the per-query machinery are variant-agnostic; only the
-    /// factor-gather fallback dispatches (CP Hadamard kernels vs. packed
-    /// Tucker evaluation).
     fn bake(
         grid: &TensorGrid,
         decomp: &Decomposition,
@@ -537,7 +555,12 @@ impl PredictPlan {
         row_observed: &[Vec<bool>],
     ) -> Self {
         let packed = decomp.packed();
-        let dense = Self::bake_dense(decomp, &packed, &grid.dims(), loss);
+        let separable = decomp.as_cp().is_some() && loss == Loss::LogLeastSquares;
+        let dense = if separable {
+            None
+        } else {
+            Self::bake_dense(decomp, &packed, &grid.dims(), loss)
+        };
         Self {
             tables: grid.bake_tables(),
             packed,
@@ -601,9 +624,11 @@ impl PredictPlan {
         self.rank
     }
 
-    /// Whether the bake carried the dense corner-value table (grids up to
-    /// `DENSE_EVAL_MAX` cells). When `false` queries run the factor-gather
-    /// fallback — bitwise-identical output, more work per corner.
+    /// Whether the bake carried the dense corner-value table: MLogQ² CP and
+    /// Tucker plans on grids up to `DENSE_EVAL_MAX` cells. When `false`
+    /// queries run from the factors — the separable kernel for CP
+    /// log-least-squares, a per-corner gather otherwise — with output
+    /// bitwise identical to the table's.
     pub fn has_dense_cache(&self) -> bool {
         self.dense.is_some()
     }
@@ -635,11 +660,7 @@ impl PredictPlan {
         let tables: usize = self.tables.iter().map(AxisTable::size_bytes).sum();
         let masks: usize = self.row_observed.iter().map(Vec::len).sum();
         let core: usize = self.tucker_core.as_ref().map_or(0, |c| c.len() * 8);
-        let dense: usize = self
-            .dense
-            .as_ref()
-            .map_or(0, |de| de.values.len() * 8 + de.strides.len() * 4);
-        self.packed.size_bytes() + tables + masks + core + dense
+        self.packed.size_bytes() + tables + masks + core + self.dense_cache_bytes()
     }
 
     /// Contiguous baked factor row (rank-length) of one mode — the SoA
@@ -658,56 +679,109 @@ impl PredictPlan {
             self.tables.len(),
             "predict: configuration order mismatch"
         );
-        match self.loss {
-            Loss::LogLeastSquares => self.predict_one::<false>(x),
-            Loss::MLogQ2 => self.predict_one::<true>(x),
+        match (&self.dense, self.loss) {
+            (Some(_), Loss::LogLeastSquares) => self.predict_dense::<false>(x),
+            (Some(_), Loss::MLogQ2) => self.predict_dense::<true>(x),
+            (None, _) if self.tucker_core.is_some() => self.predict_tucker_fallback(x),
+            (None, Loss::LogLeastSquares) => {
+                self.with_rank_scratch(|acc| self.predict_separable(x, acc))
+            }
+            (None, Loss::MLogQ2) => self.with_rank_scratch(|acc| self.predict_factor(x, acc)),
         }
     }
 
-    /// Monomorphization dispatch on the tensor order: each arm pins the
-    /// order to a constant, so the kernel instance gets fully unrolled
-    /// stencil and corner loops (serving models are order 2–7, where loop
-    /// control would otherwise dominate the per-corner math); the
-    /// `LOG_CORNERS` constant hoists the loss branch out of the corner
-    /// loop. Grids with a dense bake skip the factor gather entirely.
-    #[inline]
-    fn predict_one<const LOG_CORNERS: bool>(&self, x: &[f64]) -> f64 {
-        if self.dense.is_some() {
-            return match x.len() {
-                1 => self.kernel_dense::<1, LOG_CORNERS>(x),
-                2 => self.kernel_dense::<2, LOG_CORNERS>(x),
-                3 => self.kernel_dense::<3, LOG_CORNERS>(x),
-                4 => self.kernel_dense::<4, LOG_CORNERS>(x),
-                5 => self.kernel_dense::<5, LOG_CORNERS>(x),
-                6 => self.kernel_dense::<6, LOG_CORNERS>(x),
-                // bake_dense rejects orders above PLAN_STACK_ORDER.
-                _ => self.kernel_dense::<PLAN_STACK_ORDER, LOG_CORNERS>(x),
-            };
-        }
-        if self.tucker_core.is_some() {
-            return self.predict_tucker_fallback(x);
-        }
+    /// Run `f` on a rank-length scratch vector: stack-held up to
+    /// [`PLAN_STACK_RANK`], heap beyond.
+    #[inline(always)]
+    fn with_rank_scratch(&self, f: impl FnOnce(&mut [f64]) -> f64) -> f64 {
         if self.rank <= PLAN_STACK_RANK {
             let mut acc = [0.0f64; PLAN_STACK_RANK];
-            self.predict_factor::<LOG_CORNERS>(x, &mut acc[..self.rank])
+            f(&mut acc[..self.rank])
         } else {
-            let mut acc = vec![0.0f64; self.rank];
-            self.predict_factor::<LOG_CORNERS>(x, &mut acc)
+            f(&mut vec![0.0f64; self.rank])
         }
     }
 
-    /// Factor-gather serving path (grids too large for the dense bake).
+    /// Single-query separable kernel (CP, log-least-squares): fold each
+    /// mode's blended factor row into the rank accumulator, then finish.
+    /// The accumulator seeds with ones — `1.0 · b ≡ b` bitwise for every
+    /// non-NaN `b` — exactly as the naive spec does.
     #[inline]
-    fn predict_factor<const LOG_CORNERS: bool>(&self, x: &[f64], acc: &mut [f64]) -> f64 {
+    fn predict_separable(&self, x: &[f64], acc: &mut [f64]) -> f64 {
+        acc.fill(1.0);
+        for (j, &xj) in x.iter().enumerate() {
+            let (a0, a1, w1, degen) = self.masked_stencil(j, xj);
+            self.fold_blended_row(acc, j, a0, a1, w1, degen);
+        }
+        self.finish_separable(acc)
+    }
+
+    /// `acc *= b_j` for mode `j`'s blended row
+    /// `b_j = (1 − w1)·U_j[a0] + w1·U_j[a1]`, or `b_j = U_j[a0]` for a
+    /// point stencil — the operation order of the naive spec
+    /// (`separable_corner_sum`).
+    #[inline(always)]
+    fn fold_blended_row(
+        &self,
+        acc: &mut [f64],
+        j: usize,
+        a0: usize,
+        a1: usize,
+        w1: f64,
+        degen: bool,
+    ) {
+        let lo = self.packed.row(j, a0);
+        if degen {
+            for (a, &u) in acc.iter_mut().zip(lo) {
+                *a *= u;
+            }
+        } else {
+            let hi = self.packed.row(j, a1);
+            let w0 = 1.0 - w1;
+            for ((a, &u0), &u1) in acc.iter_mut().zip(lo).zip(hi) {
+                *a *= w0 * u0 + w1 * u1;
+            }
+        }
+    }
+
+    /// Rank sum, offset, clamp and `exp` of a separable accumulator.
+    #[inline(always)]
+    fn finish_separable(&self, acc: &[f64]) -> f64 {
+        let v: f64 = acc.iter().sum();
+        (v + self.log_offset).clamp(-690.0, 690.0).exp()
+    }
+
+    /// Per-corner factor-gather path of MLogQ² CP plans without a dense
+    /// table (grids beyond the cap, or a demoted plan).
+    #[inline]
+    fn predict_factor(&self, x: &[f64], acc: &mut [f64]) -> f64 {
         match x.len() {
-            1 => self.kernel::<1, LOG_CORNERS>(x, acc),
-            2 => self.kernel::<2, LOG_CORNERS>(x, acc),
-            3 => self.kernel::<3, LOG_CORNERS>(x, acc),
-            4 => self.kernel::<4, LOG_CORNERS>(x, acc),
-            5 => self.kernel::<5, LOG_CORNERS>(x, acc),
-            6 => self.kernel::<6, LOG_CORNERS>(x, acc),
-            d if d <= PLAN_STACK_ORDER => self.kernel::<PLAN_STACK_ORDER, LOG_CORNERS>(x, acc),
-            _ => self.predict_dyn::<LOG_CORNERS>(x, acc),
+            1 => self.kernel::<1>(x, acc),
+            2 => self.kernel::<2>(x, acc),
+            3 => self.kernel::<3>(x, acc),
+            4 => self.kernel::<4>(x, acc),
+            5 => self.kernel::<5>(x, acc),
+            6 => self.kernel::<6>(x, acc),
+            d if d <= PLAN_STACK_ORDER => self.kernel::<PLAN_STACK_ORDER>(x, acc),
+            _ => self.predict_dyn(x, acc),
+        }
+    }
+
+    /// Monomorphization dispatch of the dense-table kernel on the tensor
+    /// order: each arm pins the order to a constant, so the instance gets
+    /// fully unrolled stencil and corner loops; the `LOG_CORNERS` constant
+    /// hoists the loss branch out of the corner loop.
+    #[inline]
+    fn predict_dense<const LOG_CORNERS: bool>(&self, x: &[f64]) -> f64 {
+        match x.len() {
+            1 => self.kernel_dense::<1, LOG_CORNERS>(x),
+            2 => self.kernel_dense::<2, LOG_CORNERS>(x),
+            3 => self.kernel_dense::<3, LOG_CORNERS>(x),
+            4 => self.kernel_dense::<4, LOG_CORNERS>(x),
+            5 => self.kernel_dense::<5, LOG_CORNERS>(x),
+            6 => self.kernel_dense::<6, LOG_CORNERS>(x),
+            // bake_dense rejects orders above PLAN_STACK_ORDER.
+            _ => self.kernel_dense::<PLAN_STACK_ORDER, LOG_CORNERS>(x),
         }
     }
 
@@ -792,27 +866,19 @@ impl PredictPlan {
         apply_mask(&self.row_observed[j], i0, i1, w1)
     }
 
-    /// Eq. 5 corner expansion for query `k` of an axis-major block of `m`
-    /// queries: `st[j*m + k]` holds mode `j`'s `(w1, degenerate)` stencil,
-    /// `rows0`/`rows1` the hoisted packed factor rows; a single query is
-    /// the `m = 1, k = 0` case. `DCAP` in `1..=MONO_ORDER_MAX` pins the
-    /// order to a constant for full unrolling (`0` = dynamic order).
+    /// MLogQ² corner expansion over gathered factor rows for one query:
+    /// `st[j]` holds mode `j`'s `(w1, degenerate)` stencil, `rows0`/`rows1`
+    /// the hoisted packed factor rows. `DCAP` in `1..=MONO_ORDER_MAX` pins
+    /// the order to a constant for full unrolling (`0` = dynamic order).
     /// Every floating-point operation mirrors the naive
-    /// `interpolate_corners` + `CpDecomp::eval` chain in the same order
+    /// `interpolate_corners` + `ln(CpDecomp::eval)` chain in the same order
     /// (the accumulator seeds with the first mode's row instead of
     /// multiplying it into ones — `1.0 * u ≡ u` bitwise for every non-NaN
     /// `u`), which is what makes the bitwise contract hold.
-    ///
-    /// `inline(always)`: monomorphized per `(DCAP, loss)` and called once
-    /// per query from the serving loops — left outlined, the eight-argument
-    /// call frame costs ~30% of the whole query.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn corner_expand<const DCAP: usize, const LOG_CORNERS: bool>(
+    fn corner_expand<const DCAP: usize>(
         &self,
         d: usize,
-        m: usize,
-        k: usize,
         st: &[(f64, bool)],
         rows0: &[&[f64]],
         rows1: &[&[f64]],
@@ -831,8 +897,7 @@ impl PredictPlan {
         let corners = 1usize << d;
         'corner: for mask in 0..corners {
             let mut weight = 1.0;
-            for j in 0..d {
-                let (w1, degen) = st[j * m + k];
+            for (j, &(w1, degen)) in st[..d].iter().enumerate() {
                 if (mask >> j) & 1 == 1 {
                     if degen {
                         continue 'corner; // degenerate mode: only corner 0
@@ -845,7 +910,7 @@ impl PredictPlan {
             if weight == 0.0 {
                 continue;
             }
-            let first = if mask & 1 == 1 { rows1[k] } else { rows0[k] };
+            let first = if mask & 1 == 1 { rows1[0] } else { rows0[0] };
             // Element loop, not `copy_from_slice`: the slice length is
             // runtime (the rank), and the memcpy PLT call it lowers to
             // costs more than the handful of moves it replaces.
@@ -854,34 +919,24 @@ impl PredictPlan {
             }
             for j in 1..d {
                 let row = if (mask >> j) & 1 == 1 {
-                    rows1[j * m + k]
+                    rows1[j]
                 } else {
-                    rows0[j * m + k]
+                    rows0[j]
                 };
                 for (a, &u) in acc.iter_mut().zip(row) {
                     *a *= u;
                 }
             }
             let v: f64 = acc.iter().sum();
-            let v = if LOG_CORNERS { v.max(1e-300).ln() } else { v };
-            total += weight * v;
+            total += weight * v.max(1e-300).ln();
         }
-        let log_pred = if LOG_CORNERS {
-            total
-        } else {
-            total + self.log_offset
-        };
-        log_pred.clamp(-690.0, 690.0).exp()
+        total.clamp(-690.0, 690.0).exp()
     }
 
-    /// Single-query kernel: masked stencils into `DCAP`-bounded stack
-    /// arrays, then the corner expansion.
+    /// Single-query MLogQ² factor-gather kernel: masked stencils into
+    /// `DCAP`-bounded stack arrays, then the corner expansion.
     #[inline]
-    fn kernel<const DCAP: usize, const LOG_CORNERS: bool>(
-        &self,
-        x: &[f64],
-        acc: &mut [f64],
-    ) -> f64 {
+    fn kernel<const DCAP: usize>(&self, x: &[f64], acc: &mut [f64]) -> f64 {
         let d = x.len();
         assert!(d <= DCAP, "kernel: order {d} exceeds scratch cap {DCAP}");
         let mut st = [(0.0f64, false); DCAP];
@@ -893,7 +948,7 @@ impl PredictPlan {
             rows0[j] = self.packed.row(j, a0);
             rows1[j] = self.packed.row(j, a1);
         }
-        self.corner_expand::<DCAP, LOG_CORNERS>(d, 1, 0, &st[..d], &rows0[..d], &rows1[..d], acc)
+        self.corner_expand::<DCAP>(d, &st[..d], &rows0[..d], &rows1[..d], acc)
     }
 
     /// Tucker factor-gather fallback: grids beyond the dense cap (or above
@@ -937,7 +992,7 @@ impl PredictPlan {
     /// Cold by construction — the corner expansion is `2^d` regardless of
     /// path, so per-call allocation is noise here.
     #[cold]
-    fn predict_dyn<const LOG_CORNERS: bool>(&self, x: &[f64], acc: &mut [f64]) -> f64 {
+    fn predict_dyn(&self, x: &[f64], acc: &mut [f64]) -> f64 {
         let d = x.len();
         let mut st = vec![(0.0f64, false); d];
         let mut rows0: Vec<&[f64]> = vec![&[]; d];
@@ -948,20 +1003,26 @@ impl PredictPlan {
             rows0[j] = self.packed.row(j, a0);
             rows1[j] = self.packed.row(j, a1);
         }
-        self.corner_expand::<0, LOG_CORNERS>(d, 1, 0, &st, &rows0, &rows1, acc)
+        self.corner_expand::<0>(d, &st, &rows0, &rows1, acc)
     }
 
     /// Batched prediction onto a caller-provided buffer. Chunks fan out
-    /// over the crate thread pool; within a chunk the serve is a two-pass
-    /// pipeline — **batched grid quantization** (axis-major through
-    /// [`AxisTable::stencils_for_each`]: one axis's table stays
-    /// register/L1-resident across the whole chunk, and the per-query `ln`
-    /// chains overlap instead of interleaving with corner math), then the
-    /// dense-table corner expansion per query. Scratch is per chunk;
-    /// individual queries allocate nothing. Outputs land at the input
-    /// index, so results are independent of the worker count. Grids
-    /// without a dense bake fall back to the per-query factor-gather
-    /// kernel.
+    /// over the crate thread pool; within a chunk, grid quantization is
+    /// **batched axis-major** through [`AxisTable::stencils_for_each`]
+    /// (one axis's table stays register/L1-resident across the whole
+    /// chunk, and the per-query `ln` chains overlap):
+    ///
+    /// * separable plans (CP, log-least-squares) fold each stencil's
+    ///   blended factor row straight into a chunk-wide `m × R`
+    ///   accumulator, mode by mode, then finish each query's rank sum —
+    ///   no per-query corner loop;
+    /// * dense-table plans record each stencil's weight and table offsets,
+    ///   then run the corner expansion per query;
+    /// * the remaining plans (no table) run their single-query kernel.
+    ///
+    /// Scratch is per chunk; individual queries allocate nothing. Outputs
+    /// land at the input index, so results are independent of the worker
+    /// count.
     pub fn predict_into<X: AsRef<[f64]> + Sync>(&self, xs: &[X], out: &mut [f64]) {
         assert_eq!(xs.len(), out.len(), "predict_into: output length mismatch");
         /// Queries per parallel work item: small enough to load-balance a
@@ -973,10 +1034,9 @@ impl PredictPlan {
             .enumerate()
             .for_each(|(c, chunk)| {
                 let base = c * CHUNK;
-                let m = chunk.len();
-                // Pass 0: resolve and validate the chunk's query slices.
-                let mut xr: Vec<&[f64]> = Vec::with_capacity(m);
-                for k in 0..m {
+                // Resolve and validate the chunk's query slices.
+                let mut xr: Vec<&[f64]> = Vec::with_capacity(chunk.len());
+                for k in 0..chunk.len() {
                     let x = xs[base + k].as_ref();
                     assert_eq!(
                         x.len(),
@@ -986,79 +1046,81 @@ impl PredictPlan {
                     );
                     xr.push(x);
                 }
-                let Some(dense) = &self.dense else {
-                    if self.tucker_core.is_some() {
-                        // Tucker fallback: per-query corner evaluation.
-                        for (o, x) in chunk.iter_mut().zip(&xr) {
-                            *o = self.predict_tucker_fallback(x);
-                        }
-                        return;
-                    }
-                    // Factor-gather fallback (grid too large to pre-evaluate).
-                    let mut acc_buf = [0.0f64; PLAN_STACK_RANK];
-                    let mut acc_vec;
-                    let acc: &mut [f64] = if self.rank <= PLAN_STACK_RANK {
-                        &mut acc_buf[..self.rank]
-                    } else {
-                        acc_vec = vec![0.0f64; self.rank];
-                        &mut acc_vec
-                    };
+                if let Some(dense) = &self.dense {
+                    self.dense_chunk(chunk, &xr, dense);
+                } else if self.tucker_core.is_some() {
                     for (o, x) in chunk.iter_mut().zip(&xr) {
-                        *o = match self.loss {
-                            Loss::LogLeastSquares => self.predict_factor::<false>(x, acc),
-                            Loss::MLogQ2 => self.predict_factor::<true>(x, acc),
-                        };
+                        *o = self.predict_tucker_fallback(x);
                     }
-                    return;
-                };
-                // Pass A: batched masked quantization, axis-major — stencil
-                // weight plus the two dense-table offsets per (mode, query).
-                let mut st: Vec<(f64, u32, u32)> = vec![(0.0, 0, 0); m * d];
-                for j in 0..d {
-                    let stj = &mut st[j * m..(j + 1) * m];
-                    let observed = &self.row_observed[j];
-                    let gs = dense.strides[j];
-                    self.tables[j].stencils_for_each(xr.iter().map(|x| x[j]), |k, (i0, i1, w1)| {
-                        let (a0, a1, w1, degen) = apply_mask(observed, i0, i1, w1);
-                        let o1 = if degen { DEGEN } else { a1 as u32 * gs };
-                        stj[k] = (w1, a0 as u32 * gs, o1);
-                    });
-                }
-                // Pass B: corner expansion, order/loss-monomorphized.
-                match self.loss {
-                    Loss::LogLeastSquares => {
-                        self.pass_b_dense::<false>(chunk, d, m, &st, &dense.values)
+                } else if self.loss == Loss::LogLeastSquares {
+                    self.separable_chunk(chunk, &xr);
+                } else {
+                    for (o, x) in chunk.iter_mut().zip(&xr) {
+                        *o = self.with_rank_scratch(|acc| self.predict_factor(x, acc));
                     }
-                    Loss::MLogQ2 => self.pass_b_dense::<true>(chunk, d, m, &st, &dense.values),
                 }
             });
     }
 
-    /// Pass B of the batched serve: order dispatch hoisted out of the
-    /// per-query loop.
-    fn pass_b_dense<const LOG_CORNERS: bool>(
-        &self,
-        chunk: &mut [f64],
-        d: usize,
-        m: usize,
-        st: &[(f64, u32, u32)],
-        values: &[f64],
-    ) {
+    /// One chunk of the separable serve: quantization, masking and the
+    /// blended-row fold fused axis by axis into an `m × R` accumulator
+    /// (query-major rows), then each query's rank sum. Per query this is
+    /// the operation sequence of [`Self::predict_separable`].
+    fn separable_chunk(&self, chunk: &mut [f64], xr: &[&[f64]]) {
+        let r = self.rank;
+        let mut acc = vec![1.0f64; chunk.len() * r];
+        for (j, table) in self.tables.iter().enumerate() {
+            let observed = &self.row_observed[j];
+            table.stencils_for_each(xr.iter().map(|x| x[j]), |k, (i0, i1, w1)| {
+                let (a0, a1, w1, degen) = apply_mask(observed, i0, i1, w1);
+                self.fold_blended_row(&mut acc[k * r..(k + 1) * r], j, a0, a1, w1, degen);
+            });
+        }
+        for (k, o) in chunk.iter_mut().enumerate() {
+            *o = self.finish_separable(&acc[k * r..(k + 1) * r]);
+        }
+    }
+
+    /// One chunk of the dense-table serve: batched masked quantization,
+    /// axis-major — stencil weight plus the two table offsets per (mode,
+    /// query) — then the corner expansion, order/loss-monomorphized with
+    /// the dispatch hoisted out of the per-query loop.
+    fn dense_chunk(&self, chunk: &mut [f64], xr: &[&[f64]], dense: &DenseEval) {
+        let (d, m) = (self.order(), chunk.len());
+        let mut st: Vec<(f64, u32, u32)> = vec![(0.0, 0, 0); m * d];
+        for j in 0..d {
+            let stj = &mut st[j * m..(j + 1) * m];
+            let observed = &self.row_observed[j];
+            let gs = dense.strides[j];
+            self.tables[j].stencils_for_each(xr.iter().map(|x| x[j]), |k, (i0, i1, w1)| {
+                let (a0, a1, w1, degen) = apply_mask(observed, i0, i1, w1);
+                let o1 = if degen { DEGEN } else { a1 as u32 * gs };
+                stj[k] = (w1, a0 as u32 * gs, o1);
+            });
+        }
         macro_rules! run {
-            ($dcap:literal) => {
+            ($log:literal, $dcap:literal) => {
                 for (k, o) in chunk.iter_mut().enumerate() {
-                    *o = self.corner_expand_dense::<$dcap, LOG_CORNERS>(d, m, k, st, values);
+                    *o = self.corner_expand_dense::<$dcap, $log>(d, m, k, &st, &dense.values);
                 }
             };
         }
-        match d {
-            1 => run!(1),
-            2 => run!(2),
-            3 => run!(3),
-            4 => run!(4),
-            5 => run!(5),
-            6 => run!(6),
-            _ => run!(0),
+        macro_rules! by_order {
+            ($log:literal) => {
+                match d {
+                    1 => run!($log, 1),
+                    2 => run!($log, 2),
+                    3 => run!($log, 3),
+                    4 => run!($log, 4),
+                    5 => run!($log, 5),
+                    6 => run!($log, 6),
+                    _ => run!($log, 0),
+                }
+            };
+        }
+        match self.loss {
+            Loss::LogLeastSquares => by_order!(false),
+            Loss::MLogQ2 => by_order!(true),
         }
     }
 
@@ -1087,6 +1149,33 @@ fn apply_mask(observed: &[bool], i0: usize, i1: usize, w1: f64) -> (usize, usize
             _ => (i0, i1, w1.clamp(-1.0, 2.0), false),
         }
     }
+}
+
+/// Eq. 5's corner sum for a CP model under log-least-squares, in separable
+/// form. Each corner value `Σ_r Π_j U_j[c_j, r]` is linear in every factor
+/// row, so `Σ_c w(c)·Σ_r Π_j U_j[c_j, r]` equals
+/// `Σ_r Π_j ((1 − w_j)·U_j[lo_j, r] + w_j·U_j[hi_j, r])`, with `U_j[lo_j, r]`
+/// alone for a point stencil (`lo_j == hi_j`): `d` blended rows and one
+/// rank-length product instead of `2^d` corner evaluations. The blended
+/// rows multiply into a ones-seeded accumulator in mode order, then the
+/// rank sums left to right; the plan's separable kernels repeat exactly
+/// this sequence.
+fn separable_corner_sum(stencils: &[(usize, usize, f64)], cp: &CpDecomp) -> f64 {
+    let mut acc = vec![1.0; cp.rank()];
+    for (j, &(i0, i1, w1)) in stencils.iter().enumerate() {
+        let lo = cp.factor(j).row(i0);
+        if i0 == i1 {
+            for (a, &u) in acc.iter_mut().zip(lo) {
+                *a *= u;
+            }
+        } else {
+            let hi = cp.factor(j).row(i1);
+            for ((a, &u0), &u1) in acc.iter_mut().zip(lo).zip(hi) {
+                *a *= (1.0 - w1) * u0 + w1 * u1;
+            }
+        }
+    }
+    acc.iter().sum()
 }
 
 /// A trained CPR performance model: a grid discretization plus a fitted
@@ -1310,9 +1399,15 @@ impl CprModel {
     }
 
     /// The naive reference predict path: per-call grid stencils and
-    /// factor-matrix corner evaluation, no baked state. Kept verbatim as
-    /// the semantic specification of [`Self::predict`] — the equivalence
-    /// proptests pin `predict(x)` bitwise against this function.
+    /// factor-matrix evaluation, no baked state — the semantic
+    /// specification of [`Self::predict`]; the equivalence proptests pin
+    /// `predict(x)` bitwise against this function.
+    ///
+    /// A CP log-least-squares model evaluates Eq. 5 in separable form
+    /// (see `separable_corner_sum`); every other model sums `2^d` weighted
+    /// stencil corners (`interpolate_corners`). The two forms of the
+    /// log-least-squares sum are equal in exact arithmetic and differ in
+    /// the last ulps in floating point.
     pub fn predict_naive(&self, x: &[f64]) -> f64 {
         assert_eq!(
             x.len(),
@@ -1326,7 +1421,7 @@ impl CprModel {
         // costs ~2x on this reference path.
         let log_pred = match (&self.decomp, self.loss) {
             (Decomposition::Cp(cp), Loss::LogLeastSquares) => {
-                interpolate_corners(&stencils, |idx| cp.eval(idx)) + self.log_offset
+                separable_corner_sum(&stencils, cp) + self.log_offset
             }
             (Decomposition::Cp(cp), Loss::MLogQ2) => {
                 interpolate_corners(&stencils, |idx| cp.eval(idx).max(1e-300).ln())
@@ -1372,14 +1467,6 @@ impl CprModel {
     /// (`&[Vec<f64>]`, `&[Sample]`, …); output order matches input order.
     pub fn predict_batch<X: AsRef<[f64]> + Sync>(&self, xs: &[X]) -> Vec<f64> {
         self.plan.predict_batch(xs)
-    }
-
-    /// Batched prediction through the naive reference path (the pre-plan
-    /// serving implementation, kept for equivalence tests).
-    pub fn predict_batch_naive<X: AsRef<[f64]> + Sync>(&self, xs: &[X]) -> Vec<f64> {
-        xs.par_iter()
-            .map(|x| self.predict_naive(x.as_ref()))
-            .collect()
     }
 
     /// Evaluate against a labeled dataset: plan predictions into a single
@@ -1787,6 +1874,15 @@ mod tests {
         }
     }
 
+    /// Batched plan output, query by query against the naive spec.
+    fn assert_batch_matches_naive(model: &CprModel, queries: &Dataset) {
+        let fast = model.predict_batch(queries.samples());
+        assert_eq!(fast.len(), queries.len());
+        for (a, x) in fast.iter().zip(queries.samples()) {
+            assert_eq!(a.to_bits(), model.predict_naive(x.as_ref()).to_bits());
+        }
+    }
+
     #[test]
     fn predict_batch_matches_naive_batch() {
         let (space, train) = separable_dataset(800, 32);
@@ -1796,11 +1892,23 @@ mod tests {
             .fit(&train)
             .unwrap();
         let (_, queries) = separable_dataset(300, 33);
-        let fast = model.predict_batch(queries.samples());
-        let slow = model.predict_batch_naive(queries.samples());
-        assert_eq!((fast.len(), slow.len()), (queries.len(), queries.len()));
-        for (a, b) in fast.iter().zip(&slow) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        assert_batch_matches_naive(&model, &queries);
+    }
+
+    #[test]
+    fn rank_zero_cp_serves_the_offset_on_every_path() {
+        let (space, _) = separable_dataset(1, 48);
+        let cp = CpDecomp::from_factors(vec![
+            cpr_tensor::Matrix::zeros(4, 0),
+            cpr_tensor::Matrix::zeros(4, 0),
+        ]);
+        let model = CprModel::from_parts(space, &[4, 4], cp, Loss::LogLeastSquares, 0.5).unwrap();
+        let xs = [[100.0, 100.0], [5000.0, 20.0]];
+        let batch = model.predict_batch(&xs);
+        for (x, b) in xs.iter().zip(&batch) {
+            assert_eq!(*b, 0.5f64.exp());
+            assert_eq!(b.to_bits(), model.predict(x).to_bits());
+            assert_eq!(b.to_bits(), model.predict_naive(x).to_bits());
         }
     }
 
@@ -1890,11 +1998,7 @@ mod tests {
             );
         }
         let (_, queries) = separable_dataset(700, 43);
-        let fast = model.predict_batch(queries.samples());
-        let slow = model.predict_batch_naive(queries.samples());
-        for (a, b) in fast.iter().zip(&slow) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_batch_matches_naive(&model, &queries);
     }
 
     #[test]
@@ -1910,11 +2014,7 @@ mod tests {
             .fit(&train)
             .unwrap();
         let (_, queries) = separable_dataset(300, 45);
-        let fast = model.predict_batch(queries.samples());
-        let slow = model.predict_batch_naive(queries.samples());
-        for (a, b) in fast.iter().zip(&slow) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_batch_matches_naive(&model, &queries);
     }
 
     #[test]

@@ -1,13 +1,27 @@
-//! The compiled-query-path contract (PR 3 tentpole): a baked
-//! [`cpr_core::PredictPlan`] must be **bitwise identical** to the naive
-//! reference path `CprModel::predict_naive` — across random factor models,
-//! every axis kind (linear/log, float/integer, categorical), both losses,
-//! random observation masks, in-domain and out-of-domain probes — and
-//! batched plan queries must not depend on the thread count.
+//! The compiled-query-path contract: a baked [`cpr_core::PredictPlan`] must
+//! be **bitwise identical** to the reference path `CprModel::predict_naive`
+//! — across random CP models of orders 1–9, every axis kind (linear/log,
+//! float/integer, categorical), both losses, random observed-row masks,
+//! in-domain and out-of-domain probes — through `predict`, `predict_into`
+//! and `predict_batch`, at 1, 2 and 4 threads.
+//!
+//! Under log-least-squares the spec is Eq. 5 in separable form: one blended
+//! factor row per mode, multiplied in mode order and summed over the rank.
+//! The `2^d`-corner sum it replaced stays here as an oracle
+//! ([`corner_oracle`]: `interpolate_corners` over `cp.eval`, plus the
+//! offset). The two are equal in exact arithmetic; in floating point the
+//! logs of their predictions must agree within
+//!
+//! `|Δ ln| ≤ 8·d·ε·(S + |log_offset|)`,
+//!
+//! where `S = Σ_c |w(c)|·Σ_r Π_j |U_j[c_j, r]|` is the corner sum taken
+//! over absolute values — the magnitude every rounding error of either form
+//! (blends, products, rank and corner sums, the offset add) is relative to.
 
 use cpr_core::{CprModel, Loss};
+use cpr_grid::space::interpolate_corners;
 use cpr_grid::{ParamSpace, ParamSpec};
-use cpr_tensor::CpDecomp;
+use cpr_tensor::{CpDecomp, SparseTensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,17 +41,35 @@ fn axis_strategy() -> impl Strategy<Value = ParamSpec> {
     )
 }
 
-/// Build a model straight from random parts (no training — the bitwise
-/// contract is independent of how the factors were obtained), then
-/// randomize the observed-row masks through a sparse observation tensor so
-/// the masking branches of the stencil path are exercised.
+fn loss_of(log_loss: usize) -> Loss {
+    if log_loss == 0 {
+        Loss::LogLeastSquares
+    } else {
+        Loss::MLogQ2
+    }
+}
+
+/// A model built straight from random parts (no training — the bitwise
+/// contract is independent of how the factors were obtained), plus the
+/// observed-row masks it was given.
+struct Fixture {
+    model: CprModel,
+    masks: Vec<Vec<bool>>,
+}
+
+/// Random CP factors, then random observed-row masks installed through a
+/// sparse observation tensor so the masking branches of the stencil path
+/// (point-stencil degradation, clamped extrapolation) are exercised. Each
+/// mode keeps a random non-empty subset of its rows observed; entry `t`
+/// of the tensor takes the `t`-th observed row of every mode (cycling), so
+/// the masks are exactly the chosen subsets at any order.
 fn random_model(
     params: Vec<ParamSpec>,
     cells: usize,
     rank: usize,
     loss: Loss,
     seed: u64,
-) -> CprModel {
+) -> Fixture {
     let space = ParamSpace::new(params);
     let cells_vec = vec![cells; space.dim()];
     let (lo, hi) = match loss {
@@ -53,20 +85,29 @@ fn random_model(
         0.0
     };
     let mut model = CprModel::from_parts(space, &cells_vec, cp, loss, log_offset).unwrap();
-    // Random masks: each mode keeps a random non-empty subset of rows
-    // "observed" (empty rows trigger the point-stencil degradation).
     let mut rng = StdRng::seed_from_u64(seed ^ 0xabcd_1234);
-    let mut obs = cpr_tensor::SparseTensor::new(&dims);
-    let mut idx = vec![0usize; dims.len()];
-    let total: usize = dims.iter().product();
-    for _ in 0..(total / 2).max(1) {
-        for (j, &dj) in dims.iter().enumerate() {
-            idx[j] = rng.gen_range(0..dj);
-        }
+    let masks: Vec<Vec<bool>> = dims
+        .iter()
+        .map(|&dj| {
+            let mut m: Vec<bool> = (0..dj).map(|_| rng.gen::<f64>() < 0.7).collect();
+            if !m.contains(&true) {
+                m[rng.gen_range(0..dj)] = true;
+            }
+            m
+        })
+        .collect();
+    let rows: Vec<Vec<usize>> = masks
+        .iter()
+        .map(|m| (0..m.len()).filter(|&i| m[i]).collect())
+        .collect();
+    let mut obs = SparseTensor::new(&dims);
+    let entries = rows.iter().map(Vec::len).max().unwrap();
+    for t in 0..entries {
+        let idx: Vec<usize> = rows.iter().map(|r| r[t % r.len()]).collect();
         obs.push(&idx, 1.0);
     }
     model.set_row_observed_from(&obs);
-    model
+    Fixture { model, masks }
 }
 
 /// Random probe for one axis: mostly in-domain, sometimes far outside
@@ -83,76 +124,165 @@ fn probe_for(spec: &ParamSpec, rng: &mut StdRng) -> f64 {
     }
 }
 
+fn probes(specs: &[ParamSpec], n: usize, seed: u64) -> Vec<Vec<f64>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| specs.iter().map(|s| probe_for(s, &mut rng)).collect())
+        .collect()
+}
+
+/// The corner-sum form of Eq. 5 for a log-least-squares CP model: the raw
+/// grid stencils, masked by the rules the model documents (a point stencil
+/// toward the observed side when one neighbour row is unobserved, weights
+/// clamped to `[-1, 2]`), then `interpolate_corners` over `cp.eval` plus
+/// the offset. Returns the log-prediction and the error scale `S` of the
+/// module docs.
+fn corner_oracle(f: &Fixture, x: &[f64]) -> (f64, f64) {
+    let cp = f.model.cp();
+    let stencils: Vec<(usize, usize, f64)> = f
+        .model
+        .grid()
+        .stencils(x)
+        .into_iter()
+        .zip(&f.masks)
+        .map(|((i0, i1, w1), observed)| {
+            if i0 == i1 {
+                return (i0, i1, w1);
+            }
+            match (observed[i0], observed[i1]) {
+                (true, false) => (i0, i0, 0.0),
+                (false, true) => (i1, i1, 0.0),
+                _ => (i0, i1, w1.clamp(-1.0, 2.0)),
+            }
+        })
+        .collect();
+    let log_pred = interpolate_corners(&stencils, |idx| cp.eval(idx)) + f.model.log_offset();
+    let abs_eval = |idx: &[usize]| -> f64 {
+        (0..cp.rank())
+            .map(|r| {
+                idx.iter()
+                    .enumerate()
+                    .map(|(j, &i)| cp.factor(j).row(i)[r].abs())
+                    .product::<f64>()
+            })
+            .sum()
+    };
+    // |w(c)| = Π_j |w_j(c_j)|: the lo weight of a two-point stencil is
+    // 1 − w1, whose magnitude `interpolate_corners` cannot form from |w1|,
+    // so the scale is summed corner by corner here.
+    let d = stencils.len();
+    let mut scale = 0.0;
+    'corner: for mask in 0..1usize << d {
+        let mut weight = 1.0;
+        let mut idx = vec![0usize; d];
+        for (j, &(i0, i1, w1)) in stencils.iter().enumerate() {
+            if (mask >> j) & 1 == 1 {
+                if i0 == i1 {
+                    continue 'corner;
+                }
+                weight *= w1.abs();
+                idx[j] = i1;
+            } else {
+                if i0 != i1 {
+                    weight *= (1.0 - w1).abs();
+                }
+                idx[j] = i0;
+            }
+        }
+        scale += weight * abs_eval(&idx);
+    }
+    (log_pred, scale)
+}
+
+/// The oracle bound of the module docs on one probe.
+fn assert_oracle_bound(f: &Fixture, x: &[f64]) -> Result<(), TestCaseError> {
+    let (log_corner, scale) = corner_oracle(f, x);
+    let p_corner = log_corner.clamp(-690.0, 690.0).exp();
+    let p_sep = f.model.predict_naive(x);
+    let delta = (p_sep.ln() - p_corner.ln()).abs();
+    let d = x.len() as f64;
+    let bound = 8.0 * d * f64::EPSILON * (scale + f.model.log_offset().abs());
+    prop_assert!(
+        delta <= bound,
+        "|Δ ln| {:e} exceeds {:e} (S {}, d {}) at {:?}",
+        delta,
+        bound,
+        scale,
+        d,
+        x
+    );
+    Ok(())
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn plan_is_bitwise_identical_to_naive_predict(
-        params in proptest::collection::vec(axis_strategy(), 1..4),
+        params in proptest::collection::vec(axis_strategy(), 1..=9),
         cells in 1usize..7,
-        rank in 1usize..6,
+        rank in 1usize..7,
         log_loss in 0usize..2,
         seed in 0u64..1_000,
     ) {
-        let loss = if log_loss == 0 { Loss::LogLeastSquares } else { Loss::MLogQ2 };
+        let loss = loss_of(log_loss);
         let specs = params.clone();
-        let model = random_model(params, cells, rank, loss, seed);
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9));
-        for _ in 0..32 {
-            let x: Vec<f64> = specs.iter().map(|s| probe_for(s, &mut rng)).collect();
-            let fast = model.predict(&x);
-            let slow = model.predict_naive(&x);
+        let f = random_model(params, cells, rank, loss, seed);
+        let xs = probes(&specs, 32, seed.wrapping_mul(0x9e37_79b9));
+        let batched = f.model.predict_batch(&xs);
+        for (x, via_batch) in xs.iter().zip(&batched) {
+            let fast = f.model.predict(x);
+            let slow = f.model.predict_naive(x);
             prop_assert_eq!(
                 fast.to_bits(), slow.to_bits(),
                 "plan {} != naive {} at {:?}", fast, slow, x
             );
-        }
-    }
-
-    #[test]
-    fn batched_plan_queries_are_thread_count_invariant(
-        cells in 2usize..8,
-        rank in 1usize..5,
-        seed in 0u64..500,
-    ) {
-        let params = vec![
-            ParamSpec::log("m", 8.0, 1024.0),
-            ParamSpec::linear("b", 0.0, 50.0),
-            ParamSpec::categorical("alg", 3),
-        ];
-        let specs = params.clone();
-        let model = random_model(params, cells, rank, Loss::LogLeastSquares, seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5555);
-        let batch: Vec<Vec<f64>> = (0..700)
-            .map(|_| specs.iter().map(|s| probe_for(s, &mut rng)).collect())
-            .collect();
-        let run = |threads: usize| {
-            let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            pool.install(|| {
-                let via_batch = model.predict_batch(&batch);
-                let mut via_into = vec![0.0; batch.len()];
-                model.plan().predict_into(&batch, &mut via_into);
-                (via_batch, via_into)
-            })
-        };
-        let (b1, i1) = run(1);
-        let (b4, i4) = run(4);
-        for k in 0..batch.len() {
-            prop_assert_eq!(b1[k].to_bits(), b4[k].to_bits(), "batch sample {}", k);
-            prop_assert_eq!(i1[k].to_bits(), i4[k].to_bits(), "into sample {}", k);
-            prop_assert_eq!(b1[k].to_bits(), i1[k].to_bits(), "batch vs into {}", k);
-            prop_assert_eq!(
-                b1[k].to_bits(),
-                model.predict_naive(&batch[k]).to_bits(),
-                "vs naive {}", k
-            );
+            prop_assert_eq!(via_batch.to_bits(), slow.to_bits(), "batch at {:?}", x);
+            if loss == Loss::LogLeastSquares {
+                assert_oracle_bound(&f, x)?;
+            }
         }
     }
 }
 
-/// Grids beyond the dense-bake cap (64k cells) serve through the
-/// factor-gather fallback; that path must satisfy the same bitwise
-/// contract, for both single and batched queries.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn batched_plan_queries_are_thread_count_invariant(
+        params in proptest::collection::vec(axis_strategy(), 1..=9),
+        cells in 2usize..8,
+        rank in 1usize..5,
+        log_loss in 0usize..2,
+        seed in 0u64..500,
+    ) {
+        let specs = params.clone();
+        let f = random_model(params, cells, rank, loss_of(log_loss), seed);
+        let model = &f.model;
+        let batch = probes(&specs, 300, seed ^ 0x5555);
+        let naive: Vec<u64> = batch.iter().map(|x| model.predict_naive(x).to_bits()).collect();
+        for threads in [1, 2, 4] {
+            let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let (via_batch, via_into, via_single) = pool.install(|| {
+                let via_batch = model.predict_batch(&batch);
+                let mut via_into = vec![0.0; batch.len()];
+                model.plan().predict_into(&batch, &mut via_into);
+                let via_single: Vec<f64> = batch.iter().map(|x| model.predict(x)).collect();
+                (via_batch, via_into, via_single)
+            });
+            for k in 0..batch.len() {
+                prop_assert_eq!(via_batch[k].to_bits(), naive[k], "batch, {} threads, sample {}", threads, k);
+                prop_assert_eq!(via_into[k].to_bits(), naive[k], "into, {} threads, sample {}", threads, k);
+                prop_assert_eq!(via_single[k].to_bits(), naive[k], "predict, {} threads, sample {}", threads, k);
+            }
+        }
+    }
+}
+
+/// Grids beyond the dense-bake cap (64k cells) carry no table: MLogQ²
+/// serves through the per-corner factor-gather fallback and
+/// log-least-squares through the separable kernel. Both must satisfy the
+/// same bitwise contract, for single and batched queries.
 #[test]
 fn factor_fallback_is_bitwise_identical_beyond_dense_cap() {
     // 300 x 300 = 90_000 cells > 2^16: no dense bake.
@@ -160,16 +290,15 @@ fn factor_fallback_is_bitwise_identical_beyond_dense_cap() {
         ParamSpec::log("m", 2.0, 1e6),
         ParamSpec::linear("b", -5.0, 5.0),
     ];
-    let specs = params.clone();
-    let model = random_model(params, 300, 3, Loss::LogLeastSquares, 77);
-    let mut rng = StdRng::seed_from_u64(99);
-    let batch: Vec<Vec<f64>> = (0..1200)
-        .map(|_| specs.iter().map(|s| probe_for(s, &mut rng)).collect())
-        .collect();
-    let fast = model.predict_batch(&batch);
-    for (x, got) in batch.iter().zip(&fast) {
-        assert_eq!(got.to_bits(), model.predict_naive(x).to_bits());
-        assert_eq!(got.to_bits(), model.predict(x).to_bits());
+    for loss in [Loss::MLogQ2, Loss::LogLeastSquares] {
+        let f = random_model(params.clone(), 300, 3, loss, 77);
+        assert!(!f.model.plan().has_dense_cache(), "{loss:?}");
+        let batch = probes(&params, 1200, 99);
+        let fast = f.model.predict_batch(&batch);
+        for (x, got) in batch.iter().zip(&fast) {
+            assert_eq!(got.to_bits(), f.model.predict_naive(x).to_bits());
+            assert_eq!(got.to_bits(), f.model.predict(x).to_bits());
+        }
     }
 }
 

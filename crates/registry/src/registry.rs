@@ -12,10 +12,12 @@
 //!   publishes a new `Arc` while in-flight readers finish on the value
 //!   they loaded. Readers never see a partially-built plan — the cell
 //!   moves a pointer, never plan bytes.
-//! * **Tiering.** Dense corner-value tables dominate a small-grid plan's
-//!   footprint, so the registry budgets them globally: under memory
-//!   pressure the least-recently-used resident table is dropped
-//!   ([`cpr_core::PredictPlan::without_dense_cache`], the factor-gather
+//! * **Tiering.** Dense corner-value tables dominate the footprint of a
+//!   small-grid plan that expands corners (MLogQ² CP, Tucker; CP
+//!   log-least-squares plans serve separably and carry none), so the
+//!   registry budgets them globally: under memory pressure the
+//!   least-recently-used resident table is dropped
+//!   ([`cpr_core::PredictPlan::without_dense_cache`], the per-corner
 //!   fallback — bitwise-identical output) and promotion rebakes it. All
 //!   residency transitions serialize through one tier mutex (they are rare
 //!   next to reads); the documented invariant is that resident dense bytes
@@ -96,7 +98,9 @@ pub struct RegistryStats {
     pub budget: usize,
     /// Queries served off a resident dense table.
     pub dense_hits: u64,
-    /// Queries served through the factor-gather fallback.
+    /// Queries served from the factors: the separable kernel of CP
+    /// log-least-squares plans, or the per-corner fallback of a plan
+    /// without a resident table.
     pub gather_hits: u64,
     /// Lookups that found no model.
     pub misses: u64,

@@ -1,11 +1,42 @@
 //! LRU tiering invariants: the memory-budget rule, eviction order, and
 //! bitwise-stable demotion/promotion round-trips.
+//!
+//! Only plans that expand Eq. 5's corners carry a dense corner-value table
+//! — MLogQ² CP and Tucker, 2 of the fixture's 5 tag combinations — so the
+//! tier invariants run over those entries ([`table_fleet`]). CP
+//! log-least-squares plans serve separably without a table; one test pins
+//! that such entries never become resident and serve the same bits at
+//! every budget.
 
 mod common;
 
 use common::{id_of, load_fleet};
-use cpr_bench::fixtures::{fleet, fleet_queries};
+use cpr_bench::fixtures::{fleet, fleet_queries, FleetModel, TAG_COMBOS};
+use cpr_core::Loss;
 use cpr_registry::{ModelId, ModelRegistry};
+
+/// Does this fixture entry's plan expand corners (and so carry a table)?
+fn expands_corners(f: &FleetModel) -> bool {
+    f.model.loss() == Loss::MLogQ2 || f.model.decomposition().as_tucker().is_some()
+}
+
+/// `n` table-carrying entries (MLogQ² CP and Tucker) of a seeded fleet,
+/// in fleet order. Every fixture grid is small enough to carry its table.
+fn table_fleet(n: usize, seed: u64) -> Vec<FleetModel> {
+    let models: Vec<FleetModel> = fleet(n * TAG_COMBOS.len(), seed)
+        .into_iter()
+        .filter(expands_corners)
+        .take(n)
+        .collect();
+    assert_eq!(models.len(), n);
+    for f in &models {
+        assert!(
+            f.model.plan().has_dense_cache(),
+            "small fixture grids all cache"
+        );
+    }
+    models
+}
 
 /// Sum of resident dense bytes as reported per entry must both match the
 /// ledger and respect the budget. Note this *serves* (touches) every
@@ -45,12 +76,15 @@ fn assert_ledger_consistent(registry: &ModelRegistry) {
 /// Unbounded registry: every cacheable plan stays resident.
 #[test]
 fn unbounded_budget_keeps_everything_resident() {
-    let models = fleet(16, 7);
+    let models = table_fleet(16, 7);
     let registry = ModelRegistry::new();
     load_fleet(&registry, &models);
     let stats = registry.stats();
     assert_eq!(stats.models, 16);
-    assert_eq!(stats.dense_resident, 16, "small fixture grids all cache");
+    assert_eq!(
+        stats.dense_resident, 16,
+        "every table fits an unbounded budget"
+    );
     assert_ledger_consistent(&registry);
 }
 
@@ -85,7 +119,7 @@ fn zero_budget_serves_through_fallback() {
 /// recency order, and the hottest entry survives.
 #[test]
 fn insertion_pressure_evicts_least_recently_used() {
-    let models = fleet(7, 31);
+    let models = table_fleet(7, 31);
     let ids: Vec<ModelId> = models.iter().map(id_of).collect();
     let bytes: Vec<usize> = models
         .iter()
@@ -134,7 +168,7 @@ fn insertion_pressure_evicts_least_recently_used() {
 /// prediction before/between/after is bitwise identical.
 #[test]
 fn demotion_promotion_round_trip_is_bitwise_stable() {
-    let models = fleet(6, 47);
+    let models = table_fleet(6, 47);
     let registry = ModelRegistry::new();
     load_fleet(&registry, &models);
     let queries = fleet_queries(models.len(), 60, 3);
@@ -184,7 +218,7 @@ fn demotion_promotion_round_trip_is_bitwise_stable() {
 /// exceeds the budget at any step.
 #[test]
 fn promotion_rotates_within_budget() {
-    let models = fleet(5, 91);
+    let models = table_fleet(5, 91);
     let ids: Vec<ModelId> = models.iter().map(id_of).collect();
     let biggest = models
         .iter()
@@ -220,7 +254,7 @@ fn promotion_rotates_within_budget() {
 /// Removing entries releases their budget share; re-inserting re-admits.
 #[test]
 fn remove_releases_budget() {
-    let models = fleet(4, 55);
+    let models = table_fleet(4, 55);
     let ids: Vec<ModelId> = models.iter().map(id_of).collect();
     let bytes: Vec<usize> = models
         .iter()
@@ -240,4 +274,55 @@ fn remove_releases_budget() {
     registry.insert(ids[0].clone(), models[0].model.clone());
     assert_eq!(registry.stats().dense_resident, 4);
     assert_ledger_consistent(&registry);
+}
+
+/// CP log-least-squares entries serve through the separable kernel and
+/// carry no table: each reports 0 dense bytes, is never resident (a
+/// promote has nothing to admit), and serves the same bits at every
+/// budget — bitwise equal to the model's own plan.
+#[test]
+fn separable_entries_are_never_resident_and_serve_identically_at_every_budget() {
+    let models = fleet(15, 61);
+    let ids: Vec<ModelId> = models.iter().map(id_of).collect();
+    let separable: Vec<usize> = (0..models.len())
+        .filter(|&i| !expands_corners(&models[i]))
+        .collect();
+    assert_eq!(
+        separable.len(),
+        9,
+        "3 of the 5 tag combinations are log-LS CP"
+    );
+    for &i in &separable {
+        assert_eq!(models[i].model.plan().dense_cache_bytes(), 0);
+    }
+    let queries: Vec<(usize, Vec<f64>)> = fleet_queries(models.len(), 300, 5)
+        .into_iter()
+        .filter(|(who, _)| separable.contains(who))
+        .collect();
+    let tables: usize = models
+        .iter()
+        .map(|f| f.model.plan().dense_cache_bytes())
+        .sum();
+    let mut first: Option<Vec<u64>> = None;
+    for budget in [0, tables / 2, usize::MAX] {
+        let registry = ModelRegistry::with_budget(budget);
+        load_fleet(&registry, &models);
+        for &i in &separable {
+            assert_eq!(registry.is_dense_resident(&ids[i]), Some(false));
+            assert!(!registry.promote(&ids[i]), "no table to promote");
+            assert_eq!(registry.is_dense_resident(&ids[i]), Some(false));
+        }
+        let bits: Vec<u64> = queries
+            .iter()
+            .map(|(who, x)| registry.predict(&ids[*who], x).unwrap().to_bits())
+            .collect();
+        for ((who, x), b) in queries.iter().zip(&bits) {
+            assert_eq!(*b, models[*who].model.predict(x).to_bits());
+        }
+        match &first {
+            Some(prev) => assert_eq!(prev, &bits, "budget {budget} moved a bit"),
+            None => first = Some(bits),
+        }
+        assert_ledger_consistent(&registry);
+    }
 }

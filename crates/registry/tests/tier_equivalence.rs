@@ -3,12 +3,17 @@
 //! `PredictPlan` directly — whatever the LRU tier state (any budget, any
 //! demote/promote history) and whatever hot-swaps run concurrently.
 //!
-//! Why this can hold at all: the dense corner-value path and the
-//! factor-gather fallback are each bitwise-pinned to the naive reference
-//! (`cpr_core`'s plan-equivalence suite), so dropping or rebaking a dense
-//! table can never move a bit; a hot-swap installs a rebake of the same
-//! model. These tests close the loop at the registry layer, where the tier
-//! machinery actually flips between those paths under load.
+//! Why this can hold at all: every serving path of a plan — the dense
+//! corner-value table, the per-corner factor gather a demoted plan falls
+//! back to, and the separable kernel of CP log-least-squares plans — is
+//! bitwise-pinned to the naive reference (`cpr_core`'s plan-equivalence
+//! suite), so dropping or rebaking a dense table can never move a bit; a
+//! hot-swap installs a rebake of the same model. Only MLogQ² CP and Tucker
+//! plans carry a table, so in the mixed fixture fleet 2 of every 5 entries
+//! take part in tier churn, while the separable entries must serve the
+//! same bits whatever the churn around them. These tests close the loop
+//! at the registry layer, where the tier machinery actually flips between
+//! those paths under load.
 
 mod common;
 
