@@ -1,6 +1,5 @@
 //! The common benchmark interface and §6.0.3 sampling rules.
 
-use crate::machine::Machine;
 use cpr_core::Dataset;
 use cpr_grid::{ParamSpace, ParamSpec};
 use rand::rngs::StdRng;
@@ -92,16 +91,6 @@ pub fn standard_normal(rng: &mut StdRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Shared architectural parameters for the single-node application
-/// benchmarks (Table 2): `1 ≤ tpp ≤ 64`, `1 ≤ ppn ≤ 64`, constrained to
-/// `64 ≤ ppn·tpp ≤ 128`.
-pub fn arch_params() -> Vec<ParamSpec> {
-    vec![
-        ParamSpec::log_int("tpp", 1.0, 64.0),
-        ParamSpec::log_int("ppn", 1.0, 64.0),
-    ]
-}
-
 /// Enforce `64 ≤ ppn·tpp ≤ 128` by resampling tpp given ppn (both stay
 /// powers-of-two-ish integers within range).
 pub fn constrain_ppn_tpp(tpp: &mut f64, ppn: &mut f64, rng: &mut StdRng) {
@@ -121,11 +110,6 @@ pub fn constrain_ppn_tpp(tpp: &mut f64, ppn: &mut f64, rng: &mut StdRng) {
     while *tpp * p < 64.0 && *tpp < 64.0 {
         *tpp += 1.0;
     }
-}
-
-/// Machine handle mixin so every benchmark embeds the same defaults.
-pub fn default_machine() -> Machine {
-    Machine::default()
 }
 
 #[cfg(test)]

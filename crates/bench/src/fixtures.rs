@@ -17,13 +17,17 @@ use rand::{Rng, SeedableRng};
 
 /// (optimizer, loss, tucker?) combinations the serialization format must
 /// round-trip — every tag triple a fit can produce.
-pub const TAG_COMBOS: [(Optimizer, Loss, bool); 5] = [
+pub const TAG_COMBOS: [(Optimizer, Loss, bool); 3] = [
     (Optimizer::Als, Loss::LogLeastSquares, false),
     (Optimizer::Amn, Loss::MLogQ2, false),
-    (Optimizer::Ccd, Loss::LogLeastSquares, false),
-    (Optimizer::Sgd, Loss::LogLeastSquares, false),
     (Optimizer::TuckerAls, Loss::LogLeastSquares, true),
 ];
+
+/// The [`TAG_COMBOS`] entry of each [`fleet`] slot, cycled by fleet index:
+/// CP log-least-squares in slots 0, 2 and 3, MLogQ² CP in slot 1, Tucker
+/// in slot 4. The fleet is the benchmark's served population, so this mix
+/// and the bits it serves are pinned by the tests below.
+pub const FLEET_SLOTS: [usize; 5] = [0, 1, 0, 0, 2];
 
 /// The 3-parameter mixed-axis space (log, linear, categorical) the random
 /// model generators discretize — one of each axis kind, so every baked
@@ -111,7 +115,7 @@ const FLEET_MACHINES: [&str; 3] = ["stampede2", "frontier", "fugaku"];
 const FLEET_METRICS: [&str; 2] = ["time", "energy"];
 
 /// A seeded fleet of `n` part-wise models with unique naming triples,
-/// cycling every tag combination and varying grid shape and rank — the
+/// cycling [`FLEET_SLOTS`] and varying grid shape and rank — the
 /// population a model registry serves. Deterministic in `(n, seed)`.
 pub fn fleet(n: usize, seed: u64) -> Vec<FleetModel> {
     (0..n)
@@ -121,7 +125,8 @@ pub fn fleet(n: usize, seed: u64) -> Vec<FleetModel> {
             let cells0 = rng.gen_range(3..8);
             let cells1 = rng.gen_range(2..6);
             let rank = rng.gen_range(1..4);
-            let (model, _, _) = random_model(i % TAG_COMBOS.len(), cells0, cells1, rank, rng.gen());
+            let combo = FLEET_SLOTS[i % FLEET_SLOTS.len()];
+            let (model, _, _) = random_model(combo, cells0, cells1, rank, rng.gen());
             FleetModel {
                 // `app` encodes the fleet index, so triples never collide.
                 app: format!(
@@ -187,6 +192,42 @@ mod tests {
             .iter()
             .zip(&c)
             .any(|(x, y)| x.model.predict(&probe) != y.model.predict(&probe)));
+    }
+
+    #[test]
+    fn fleet_slot_mix_is_pinned() {
+        let want = [
+            (Loss::LogLeastSquares, false),
+            (Loss::MLogQ2, false),
+            (Loss::LogLeastSquares, false),
+            (Loss::LogLeastSquares, false),
+            (Loss::LogLeastSquares, true),
+        ];
+        for (i, f) in fleet(24, 42).iter().enumerate() {
+            let kind = (
+                f.model.loss(),
+                f.model.decomposition().as_tucker().is_some(),
+            );
+            assert_eq!(kind, want[i % 5], "fleet slot {i}");
+        }
+    }
+
+    /// The bits `fleet(24, 42)` serves over a query stream, folded
+    /// FNV-1a-style. The constant was recorded before slots 2 and 3 changed
+    /// their optimizer tag from CCD and SGD to ALS, so it also pins that
+    /// the retag moved no served bit. A change here is a change to the
+    /// benchmark's traffic.
+    #[test]
+    fn fleet_prediction_bits_are_pinned() {
+        let models = fleet(24, 42);
+        let checksum =
+            fleet_queries(24, 2000, 7)
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, (who, x)| {
+                    (h ^ models[*who].model.predict(x).to_bits())
+                        .wrapping_mul(0x0000_0100_0000_01b3)
+                });
+        assert_eq!(checksum, 0x8c22_f401_5e6d_d34c);
     }
 
     #[test]

@@ -54,9 +54,11 @@ fn binary_registry_is_complete() {
     }
 }
 
-/// `cargo run --release` one harness binary with one argument.
-fn run_bin(bin: &str, arg: &str) -> Output {
+/// `cargo run --release` one harness binary with one argument, its pool
+/// width pinned by `CPR_NUM_THREADS`.
+fn run_bin(bin: &str, arg: &str, threads: usize) -> Output {
     cargo()
+        .env("CPR_NUM_THREADS", threads.to_string())
         .args([
             "run",
             "--release",
@@ -72,24 +74,62 @@ fn run_bin(bin: &str, arg: &str) -> Output {
         .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"))
 }
 
+/// The TSV columns that hold wall-clock timings, by header name: the only
+/// cells a harness binary may print differently from run to run.
+const TIMING_COLUMNS: [&str; 1] = ["train_seconds"];
+
+/// `stdout` with the cells of every timing column blanked, from the header
+/// row that names the column onwards, and how many cells were blanked.
+fn mask_timing_columns(stdout: &[u8]) -> (String, usize) {
+    let mut column = None;
+    let mut blanked = 0;
+    let mut out = String::new();
+    for line in String::from_utf8_lossy(stdout).lines() {
+        let mut cells: Vec<&str> = line.split('\t').collect();
+        if let Some(c) = cells.iter().position(|c| TIMING_COLUMNS.contains(c)) {
+            column = Some(c);
+        } else if let Some(cell) = column.and_then(|c| cells.get_mut(c)) {
+            *cell = "-";
+            blanked += 1;
+        }
+        out.push_str(&cells.join("\t"));
+        out.push('\n');
+    }
+    (out, blanked)
+}
+
+/// Every binary completes a tiny run and prints the same bytes on a second
+/// run at another pool width, timing columns aside. Those bytes are the
+/// safety net for any change that should not move a figure.
 #[test]
 fn every_harness_binary_runs_a_tiny_configuration() {
     for bin in harness_binaries() {
-        let output = run_bin(&bin, "--tiny");
-        assert!(
-            output.status.success(),
-            "{bin} --tiny exited with {}:\n{}",
-            output.status,
-            String::from_utf8_lossy(&output.stderr)
+        let first = run_bin(&bin, "--tiny", 1);
+        let second = run_bin(&bin, "--tiny", 2);
+        for output in [&first, &second] {
+            assert!(
+                output.status.success(),
+                "{bin} --tiny exited with {}:\n{}",
+                output.status,
+                String::from_utf8_lossy(&output.stderr)
+            );
+            assert!(
+                !output.stdout.is_empty(),
+                "{bin} --tiny produced no stdout (tables/figures print to stdout)"
+            );
+        }
+        let (first, blanked) = mask_timing_columns(&first.stdout);
+        let (second, _) = mask_timing_columns(&second.stdout);
+        assert_eq!(
+            blanked > 0,
+            bin == "ablation_loss",
+            "{bin}: timing cells masked: {blanked}"
         );
-        assert!(
-            !output.stdout.is_empty(),
-            "{bin} --tiny produced no stdout (tables/figures print to stdout)"
-        );
+        assert_eq!(first, second, "{bin} --tiny printed different bytes");
     }
     // A mistyped scale flag is refused with a usage line, never run at the
     // default scale.
-    let output = run_bin("fig3_granularity", "--ful");
+    let output = run_bin("fig3_granularity", "--ful", 1);
     assert_eq!(output.status.code(), Some(2), "{output:?}");
     assert!(output.stdout.is_empty(), "{output:?}");
     assert!(
@@ -99,13 +139,15 @@ fn every_harness_binary_runs_a_tiny_configuration() {
 }
 
 /// The SGR rows of these two figures depend on the order of every sum over
-/// a sparse-grid design row; two runs of one binary must print the same
-/// bytes.
+/// a sparse-grid design row; two runs of one binary at one pool width must
+/// print the same bytes, unmasked. (They once did not: the sparse grid's
+/// level map was a std `HashMap`, whose per-instance iteration order fixed
+/// the order of those sums.)
 #[test]
 fn sgr_figures_print_identical_bytes_run_to_run() {
     for bin in ["fig4_refinement", "fig7_modelsize"] {
-        let first = run_bin(bin, "--tiny");
-        let second = run_bin(bin, "--tiny");
+        let first = run_bin(bin, "--tiny", 2);
+        let second = run_bin(bin, "--tiny", 2);
         for output in [&first, &second] {
             assert!(
                 output.status.success(),

@@ -354,8 +354,8 @@ fn update_mode_reference(
     row_losses.iter().sum()
 }
 
-/// Eq. 3 objective with least-squares loss (shared by ALS/CCD/SGD traces).
-pub fn objective(cp: &CpDecomp, obs: &SparseTensor, lambda: f64) -> f64 {
+/// Eq. 3 objective with least-squares loss (the ALS trace's first entry).
+fn objective(cp: &CpDecomp, obs: &SparseTensor, lambda: f64) -> f64 {
     cp.objective(obs, lambda)
 }
 

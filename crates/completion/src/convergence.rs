@@ -21,14 +21,6 @@ impl Default for StopRule {
 }
 
 impl StopRule {
-    /// Stop rule with a custom sweep cap.
-    pub fn with_max_sweeps(max_sweeps: usize) -> Self {
-        Self {
-            max_sweeps,
-            ..Self::default()
-        }
-    }
-
     /// True when the objective decrease from `prev` to `curr` is below
     /// tolerance.
     pub fn converged(&self, prev: f64, curr: f64) -> bool {
@@ -57,7 +49,7 @@ impl Trace {
     }
 
     /// True if the recorded objective never increased by more than `slack`
-    /// (relative). ALS/CCD are monotone algorithms; tests assert this.
+    /// (relative). ALS is a monotone algorithm; tests assert this.
     pub fn is_monotone(&self, slack: f64) -> bool {
         self.objective
             .windows(2)

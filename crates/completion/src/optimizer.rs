@@ -1,22 +1,20 @@
 //! Optimizer selection over one completion problem (paper §4.2).
 //!
-//! The paper treats ALS, CCD, SGD, and AMN as interchangeable optimizers of
-//! the same Eq. 3 objective (and Tucker-ALS as the same alternating scheme
-//! over the Tucker model class). This module makes that interchangeability
-//! concrete: an [`Optimizer`] tag, the shared [`CompletionSpec`]
-//! configuration every optimizer understands (ridge strength, stop rule,
-//! seed), and one [`complete`] entry point that dispatches a
+//! The paper treats its §4.2 methods as interchangeable optimizers of the
+//! same Eq. 3 objective; CPR fits with two of them, ALS under log-least
+//! squares (§5.2) and AMN under MLogQ² (§5.3), and Tucker-ALS runs the same
+//! alternating scheme over the Tucker model class. This module makes that
+//! interchangeability concrete: an [`Optimizer`] tag, the shared
+//! [`CompletionSpec`] configuration every optimizer understands (ridge
+//! strength, stop rule), and one [`complete`] entry point that dispatches a
 //! [`Decomposition`] through the matching **streamed** sweep
-//! implementation. Optimizer-specific knobs (AMN's barrier schedule, SGD's
-//! step sizes) keep their per-optimizer defaults; callers needing them
-//! still reach the concrete `als`/`amn`/`ccd`/`sgd`/`tucker_als` functions
-//! directly.
+//! implementation. Optimizer-specific knobs (AMN's barrier schedule, ALS's
+//! count scaling) keep their per-optimizer defaults; callers needing them
+//! still reach the concrete `als`/`amn`/`tucker_als` functions directly.
 
 use crate::als::{als, AlsConfig};
 use crate::amn::{amn, AmnConfig};
-use crate::ccd::{ccd, CcdConfig};
 use crate::convergence::{StopRule, Trace};
-use crate::sgd::{sgd, SgdConfig};
 use crate::tucker_als::{tucker_als, TuckerConfig};
 use cpr_tensor::{Decomposition, SparseTensor};
 
@@ -29,32 +27,19 @@ pub enum Optimizer {
     /// Alternating minimization via Newton's method under MLogQ² loss with
     /// log-barrier positivity (§4.2.2) — required by §5.3 extrapolation.
     Amn,
-    /// Cyclic coordinate descent (§4.2.1): `R`× cheaper sweeps, slower
-    /// convergence.
-    Ccd,
-    /// Stochastic gradient descent over shuffled observations (§4.2.1).
-    Sgd,
     /// Alternating least squares over the Tucker model class (§8).
     TuckerAls,
 }
 
 impl Optimizer {
-    /// All five optimizers, in serialization-tag order.
-    pub const ALL: [Optimizer; 5] = [
-        Optimizer::Als,
-        Optimizer::Amn,
-        Optimizer::Ccd,
-        Optimizer::Sgd,
-        Optimizer::TuckerAls,
-    ];
+    /// Every optimizer, in serialization-tag order.
+    pub const ALL: [Optimizer; 3] = [Optimizer::Als, Optimizer::Amn, Optimizer::TuckerAls];
 
     /// Short identifier (experiment-harness tables, serialization debug).
     pub fn name(&self) -> &'static str {
         match self {
             Optimizer::Als => "als",
             Optimizer::Amn => "amn",
-            Optimizer::Ccd => "ccd",
-            Optimizer::Sgd => "sgd",
             Optimizer::TuckerAls => "tucker-als",
         }
     }
@@ -79,7 +64,10 @@ pub struct CompletionSpec {
     pub lambda: f64,
     /// Stopping rule (sweep cap + relative-decrease tolerance).
     pub stop: StopRule,
-    /// RNG seed for stochastic optimizers (SGD's shuffle).
+    /// Read by no optimizer (each is deterministic given its initial
+    /// factors). Kept only because the end-to-end benchmark
+    /// (`e2ebench/src/fit.rs`) builds this struct field by field; it goes
+    /// with that use.
     pub seed: u64,
 }
 
@@ -95,7 +83,7 @@ impl Default for CompletionSpec {
 
 /// Run `optimizer` on the decomposition in place and return its sweep
 /// trace. The decomposition variant must match the optimizer's model class
-/// — CP for `Als | Amn | Ccd | Sgd`, Tucker for `TuckerAls`; a mismatch is
+/// — CP for `Als | Amn`, Tucker for `TuckerAls`; a mismatch is
 /// a caller bug and panics (the `cpr_core` builder layer constructs the
 /// matching variant and reports configuration errors as typed results
 /// before ever reaching this point).
@@ -122,25 +110,6 @@ pub fn complete(
                 lambda: spec.lambda,
                 stop: spec.stop,
                 ..AmnConfig::default()
-            },
-        ),
-        (Optimizer::Ccd, Decomposition::Cp(cp)) => ccd(
-            cp,
-            obs,
-            &CcdConfig {
-                lambda: spec.lambda,
-                stop: spec.stop,
-                scale_by_count: true,
-            },
-        ),
-        (Optimizer::Sgd, Decomposition::Cp(cp)) => sgd(
-            cp,
-            obs,
-            &SgdConfig {
-                lambda: spec.lambda,
-                stop: spec.stop,
-                seed: spec.seed,
-                ..SgdConfig::default()
             },
         ),
         (Optimizer::TuckerAls, Decomposition::Tucker(t)) => tucker_als(
@@ -195,29 +164,28 @@ mod tests {
         }
     }
 
+    /// The least-squares CP optimizer (AMN, on positive data, has its own
+    /// case below).
     #[test]
     fn every_cp_optimizer_dispatches_and_descends() {
         let dims = [6usize, 5, 4];
         let obs = sampled_obs(&dims, 3);
-        for opt in [Optimizer::Als, Optimizer::Ccd, Optimizer::Sgd] {
-            let mut d = Decomposition::Cp(CpDecomp::random(&dims, 2, 0.1, 1.0, 7));
-            let spec = CompletionSpec {
-                lambda: 1e-6,
-                stop: StopRule {
-                    max_sweeps: 30,
-                    tol: 1e-10,
-                },
-                seed: 1,
-            };
-            let trace = complete(&mut d, &obs, opt, &spec);
-            assert!(trace.sweeps() >= 1, "{}: no sweeps ran", opt.name());
-            assert!(
-                trace.final_objective() <= trace.objective[0] + 1e-9,
-                "{}: objective rose: {:?}",
-                opt.name(),
-                trace.objective
-            );
-        }
+        let mut d = Decomposition::Cp(CpDecomp::random(&dims, 2, 0.1, 1.0, 7));
+        let spec = CompletionSpec {
+            lambda: 1e-6,
+            stop: StopRule {
+                max_sweeps: 30,
+                tol: 1e-10,
+            },
+            seed: 1,
+        };
+        let trace = complete(&mut d, &obs, Optimizer::Als, &spec);
+        assert!(trace.sweeps() >= 1, "no sweeps ran");
+        assert!(
+            trace.final_objective() <= trace.objective[0] + 1e-9,
+            "objective rose: {:?}",
+            trace.objective
+        );
     }
 
     #[test]
@@ -262,7 +230,7 @@ mod tests {
 
     #[test]
     fn names_and_tags_are_stable() {
-        assert_eq!(Optimizer::ALL.len(), 5);
+        assert_eq!(Optimizer::ALL.len(), 3);
         assert_eq!(Optimizer::default(), Optimizer::Als);
         assert!(Optimizer::Amn.requires_positive());
         assert!(Optimizer::TuckerAls.fits_tucker());

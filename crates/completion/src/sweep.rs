@@ -23,7 +23,7 @@
 use cpr_tensor::{CpDecomp, ModeStream, SparseTensor};
 
 /// Build the per-mode observation streams of a fit (one counting-sort pass
-/// per mode; shared by ALS/AMN/CCD/Tucker-ALS and cached across streaming
+/// per mode; shared by ALS/AMN/Tucker-ALS and cached across streaming
 /// refits by the CPR layer).
 pub fn build_streams(obs: &SparseTensor) -> Vec<ModeStream> {
     (0..obs.order()).map(|m| obs.mode_stream(m)).collect()
@@ -416,9 +416,8 @@ fn acc_ne_generic(
 }
 
 /// Fill a row's `z`-cache (`len * rank` contiguous, one `z` per slot of
-/// the row) from the `z` source — what AMN's Newton iterations and CCD's
-/// scalar updates re-read all row. Rank-monomorphized like the
-/// normal-equation kernel.
+/// the row) from the `z` source — what AMN's Newton iterations re-read all
+/// row. Rank-monomorphized like the normal-equation kernel.
 pub(crate) fn fill_zcache(
     src: ZSource<'_>,
     foreign: &[u32],

@@ -11,8 +11,7 @@
 //! leave-one-out vector comes from the multi-row fold.
 
 use cpr_completion::{
-    als, amn, ccd, init_positive, tucker_als, AlsConfig, AmnConfig, CcdConfig, StopRule,
-    TuckerConfig,
+    als, amn, init_positive, tucker_als, AlsConfig, AmnConfig, StopRule, TuckerConfig,
 };
 use cpr_tensor::{CpDecomp, SparseTensor, TuckerDecomp};
 use rand::rngs::StdRng;
@@ -142,31 +141,4 @@ fn tucker_als_is_bitwise_identical_across_thread_counts() {
         assert_eq!(x.to_bits(), y.to_bits(), "Tucker core");
     }
     assert_traces_bitwise_equal(&tr1.objective, &tr4.objective, "Tucker");
-}
-
-#[test]
-fn ccd_is_unaffected_by_pool_width() {
-    // CCD is inherently sequential; installing a wide pool must not change
-    // anything it computes.
-    for (dims, seed) in [(&[7, 6, 5][..], 19), (&[3, 3, 4, 3, 3, 4][..], 20)] {
-        let obs = sampled_obs(dims, 2, 0.5, seed);
-        let cfg = CcdConfig {
-            lambda: 1e-7,
-            stop: StopRule {
-                max_sweeps: 10,
-                tol: 1e-12,
-            },
-            scale_by_count: true,
-        };
-        let fit = || {
-            let mut cp = CpDecomp::random(dims, 2, 0.1, 1.0, 37);
-            let trace = ccd(&mut cp, &obs, &cfg);
-            (cp, trace)
-        };
-        let what = format!("CCD order {}", dims.len());
-        let (cp1, tr1) = pool(1).install(fit);
-        let (cp4, tr4) = pool(4).install(fit);
-        assert_factors_bitwise_equal(&cp1, &cp4, &what);
-        assert_traces_bitwise_equal(&tr1.objective, &tr4.objective, &what);
-    }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the tensor-completion optimizers.
 
-use cpr_completion::{als, amn, ccd, init_positive, AlsConfig, AmnConfig, CcdConfig, StopRule};
+use cpr_completion::{als, amn, init_positive, AlsConfig, AmnConfig, StopRule};
 use cpr_tensor::{CpDecomp, SparseTensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -48,23 +48,6 @@ proptest! {
         // counts differ. Allow 1% slack.
         prop_assert!(trace.is_monotone(1e-2), "{:?}", trace.objective);
         prop_assert!(!model.factor(0).has_non_finite());
-    }
-
-    #[test]
-    fn ccd_objective_monotone_for_any_seed(
-        seed in 0u64..500,
-        rank in 1usize..3,
-    ) {
-        let truth = CpDecomp::random(&[4, 4, 3], 2, 0.3, 1.2, seed);
-        let obs = sampled_obs(&truth, 0.8, seed + 1);
-        let mut model = CpDecomp::random(&[4, 4, 3], rank, 0.1, 1.0, seed + 2);
-        let cfg = CcdConfig {
-            lambda: 1e-6,
-            stop: StopRule { max_sweeps: 15, tol: 0.0 },
-            scale_by_count: true,
-        };
-        let trace = ccd(&mut model, &obs, &cfg);
-        prop_assert!(trace.is_monotone(1e-9), "{:?}", trace.objective);
     }
 
     #[test]

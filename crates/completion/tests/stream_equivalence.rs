@@ -7,8 +7,8 @@
 //! analog of `crates/core/tests/plan_equivalence.rs`.
 
 use cpr_completion::{
-    als, als_reference, amn, amn_reference, ccd, ccd_reference, init_positive, tucker_als,
-    tucker_als_reference, AlsConfig, AmnConfig, CcdConfig, StopRule, TuckerConfig,
+    als, als_reference, amn, amn_reference, init_positive, tucker_als, tucker_als_reference,
+    AlsConfig, AmnConfig, StopRule, TuckerConfig,
 };
 use cpr_tensor::{CpDecomp, SparseTensor, TuckerDecomp};
 use proptest::prelude::*;
@@ -142,34 +142,6 @@ proptest! {
         assert_trace_bitwise(&t1.objective, &tr.objective, "AMN trace");
         assert_cp_bitwise(&s1, &s4, "AMN 1 vs 4 threads");
         assert_trace_bitwise(&t1.objective, &t4.objective, "AMN threads trace");
-    }
-
-    /// CCD: streamed == reference bitwise (CCD is sequential; a wide pool
-    /// must not change anything either).
-    #[test]
-    fn ccd_streamed_bitwise_matches_reference(
-        seed in 0u64..1000,
-        rank_pick in 0usize..5,
-    ) {
-        let rank = [1, 2, 3, 4, 8][rank_pick];
-        let dims = random_dims(seed);
-        let obs = random_obs(&dims, 0.5, seed + 1);
-        let cfg = CcdConfig {
-            lambda: 1e-6,
-            stop: StopRule { max_sweeps: 4, tol: -1.0 },
-            scale_by_count: true,
-        };
-        let init = CpDecomp::random(&dims, rank, 0.1, 1.0, seed + 2);
-        let mut s = init.clone();
-        let ts = ccd(&mut s, &obs, &cfg);
-        let mut r = init.clone();
-        let tr = ccd_reference(&mut r, &obs, &cfg);
-        assert_cp_bitwise(&s, &r, "CCD streamed vs reference");
-        assert_trace_bitwise(&ts.objective, &tr.objective, "CCD trace");
-        let mut w = init.clone();
-        let tw = pool(4).install(|| ccd(&mut w, &obs, &cfg));
-        assert_cp_bitwise(&s, &w, "CCD pool width");
-        assert_trace_bitwise(&ts.objective, &tw.objective, "CCD pool trace");
     }
 
     /// Tucker-ALS: streamed == reference, bitwise, at 1 and 4 threads

@@ -72,8 +72,8 @@ impl Cells {
 
 /// The full fit configuration, independent of any one optimizer: grid
 /// cells, rank(s), regularization, sweep budget, tolerance, seed, loss,
-/// and the optimizer itself. One `FitSpec` drives any of the five §4.2
-/// optimizers through [`CprBuilder::fit`]; the extrapolation and streaming
+/// and the optimizer itself. One `FitSpec` drives any [`Optimizer`]
+/// through [`CprBuilder::fit`]; the extrapolation and streaming
 /// layers reuse it instead of duplicating fields.
 ///
 /// `loss` and `optimizer` are both optional and resolved jointly at fit
@@ -81,7 +81,7 @@ impl Cells {
 /// log-least-squares loss (the paper's §5.2 default); setting only the
 /// MLogQ² loss selects AMN (§5.3's positive regime); setting only the
 /// optimizer picks the loss family it optimizes. Explicitly contradictory
-/// pairs (AMN with least squares, SGD with MLogQ²) are configuration
+/// pairs (AMN with least squares, ALS with MLogQ²) are configuration
 /// errors, reported as [`CprError::InvalidConfig`].
 #[derive(Debug, Clone)]
 pub struct FitSpec {
@@ -99,7 +99,7 @@ pub struct FitSpec {
     pub max_sweeps: usize,
     /// Convergence tolerance on the relative objective decrease.
     pub tol: f64,
-    /// RNG seed for factor initialization (and SGD's shuffle).
+    /// RNG seed for factor initialization.
     pub seed: u64,
     /// Loss selection; `None` = derived from the optimizer.
     pub loss: Option<Loss>,
@@ -189,7 +189,7 @@ impl FitSpec {
 
 /// Builder for [`CprModel`]: a [`ParamSpace`] plus a [`FitSpec`], with
 /// fluent setters for every spec field. One builder fits with any of the
-/// five optimizers (`.optimizer(Optimizer::Ccd)` etc.); the extrapolation
+/// optimizers (`.optimizer(Optimizer::TuckerAls)` etc.); the extrapolation
 /// ([`crate::CprExtrapolatorBuilder`]) and streaming
 /// ([`crate::StreamingCpr`]) entry points wrap this same builder instead
 /// of duplicating its fields.
@@ -1639,7 +1639,7 @@ impl crate::perf_model::PerfModel for CprModel {
         CprModel::size_bytes(self)
     }
 
-    fn to_bytes(&self) -> Result<bytes::Bytes> {
+    fn to_bytes(&self) -> Result<Box<[u8]>> {
         Ok(crate::serialize::to_bytes(self))
     }
 }
@@ -1958,8 +1958,7 @@ mod tests {
             assert_eq!(model.optimizer(), opt);
             let m = model.evaluate(&test);
             // Separable power-law data is easy; every optimizer should land
-            // well under the constant-predictor error (~0.5 here). SGD is
-            // the loosest of the family.
+            // well under the constant-predictor error (~0.5 here).
             assert!(
                 m.mlogq < 0.3,
                 "{}: MLogQ {} too high on separable data",
@@ -2029,12 +2028,7 @@ mod tests {
             Err(CprError::InvalidConfig(_))
         ));
         // The least-squares optimizers never optimize MLogQ².
-        for opt in [
-            Optimizer::Als,
-            Optimizer::Ccd,
-            Optimizer::Sgd,
-            Optimizer::TuckerAls,
-        ] {
+        for opt in [Optimizer::Als, Optimizer::TuckerAls] {
             assert!(matches!(
                 CprBuilder::new(space.clone())
                     .optimizer(opt)
@@ -2075,15 +2069,15 @@ mod tests {
             rank: 3,
             lambda: 1e-6,
             max_sweeps: 20,
-            optimizer: Some(Optimizer::Ccd),
+            optimizer: Some(Optimizer::Amn),
             ..FitSpec::default()
         };
         let builder = CprBuilder::new(space).with_spec(spec.clone());
         assert_eq!(builder.spec().rank, 3);
-        assert_eq!(builder.spec().optimizer, Some(Optimizer::Ccd));
+        assert_eq!(builder.spec().optimizer, Some(Optimizer::Amn));
         let model = builder.fit(&data).unwrap();
-        assert_eq!(model.optimizer(), Optimizer::Ccd);
-        assert_eq!(model.loss(), Loss::LogLeastSquares);
+        assert_eq!(model.optimizer(), Optimizer::Amn);
+        assert_eq!(model.loss(), Loss::MLogQ2);
         assert_eq!(spec.stop_rule().max_sweeps, 20);
     }
 

@@ -20,7 +20,6 @@
 use crate::dataset::Dataset;
 use crate::error::{CprError, Result};
 use crate::metrics::{Metrics, MetricsAccum};
-use bytes::Bytes;
 use cpr_baselines::Regressor;
 use cpr_grid::{ParamSpace, ParamSpec};
 
@@ -78,7 +77,7 @@ pub trait PerfModel: Send + Sync {
 
     /// Serialize the inference state to bytes. Families without a binary
     /// format report [`CprError::Unsupported`].
-    fn to_bytes(&self) -> Result<Bytes> {
+    fn to_bytes(&self) -> Result<Box<[u8]>> {
         Err(CprError::Unsupported(format!(
             "{} does not serialize to bytes",
             self.name()

@@ -15,10 +15,16 @@
 //!   (`0` = CP, `1` = Tucker with per-mode multilinear ranks and a dense
 //!   core), so Tucker-ALS models round-trip and the optimizer survives
 //!   reserialization. Writers emit v2.
+//! * **Optimizer tags 2 and 3** were written by the coordinate-descent and
+//!   SGD fitters, which are gone. Both fitted plain CP log-least-squares
+//!   models, and predictions never depended on the tag, so v2 bytes
+//!   carrying either tag load as [`Optimizer::Als`] (a resumed streaming
+//!   trainer re-tagged its model as ALS at the first update anyway).
+//!   Writers never emit 2 or 3, and either tag on an MLogQ² or Tucker
+//!   payload is `Corrupt`, as it always was.
 
 use crate::error::{CprError, Result};
 use crate::model::{CprModel, Loss};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cpr_completion::Optimizer;
 use cpr_grid::{ParamSpace, ParamSpec, Spacing};
 use cpr_tensor::{CpDecomp, Decomposition, DenseTensor, Matrix, TuckerDecomp};
@@ -51,40 +57,43 @@ fn optimizer_tag(opt: Optimizer) -> u8 {
     match opt {
         Optimizer::Als => 0,
         Optimizer::Amn => 1,
-        Optimizer::Ccd => 2,
-        Optimizer::Sgd => 3,
         Optimizer::TuckerAls => 4,
     }
 }
 
 fn optimizer_from_tag(tag: u8) -> Result<Optimizer> {
     Ok(match tag {
-        0 => Optimizer::Als,
+        // 2 and 3: legacy coordinate-descent and SGD tags (version history).
+        0 | 2 | 3 => Optimizer::Als,
         1 => Optimizer::Amn,
-        2 => Optimizer::Ccd,
-        3 => Optimizer::Sgd,
         4 => Optimizer::TuckerAls,
         other => return Err(CprError::Corrupt(format!("bad optimizer tag {other}"))),
     })
 }
 
+fn put_f64s(buf: &mut Vec<u8>, values: &[f64]) {
+    for &v in values {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
 /// Serialize a trained model to bytes (current version: v2).
-pub fn to_bytes(model: &CprModel) -> Bytes {
-    let mut buf = BytesMut::with_capacity(model.size_bytes() + 256);
-    buf.put_u32_le(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u8(optimizer_tag(model.optimizer()));
-    buf.put_u8(loss_tag(model.loss()));
-    buf.put_f64_le(model.log_offset());
+pub fn to_bytes(model: &CprModel) -> Box<[u8]> {
+    let mut buf = Vec::with_capacity(model.size_bytes() + 256);
+    buf.extend_from_slice(&MAGIC.to_le_bytes());
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.push(optimizer_tag(model.optimizer()));
+    buf.push(loss_tag(model.loss()));
+    buf.extend_from_slice(&model.log_offset().to_le_bytes());
     let grid = model.grid();
-    buf.put_u16_le(grid.order() as u16);
+    buf.extend_from_slice(&(grid.order() as u16).to_le_bytes());
     for mode in 0..grid.order() {
         let axis = grid.axis(mode);
         let spec = axis.spec();
         let name = spec.name().as_bytes();
-        buf.put_u16_le(name.len() as u16);
-        buf.put_slice(name);
-        match spec {
+        buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        buf.extend_from_slice(name);
+        let (kind, integer, lo, hi, n_cells) = match spec {
             ParamSpec::Numerical {
                 lo,
                 hi,
@@ -92,54 +101,43 @@ pub fn to_bytes(model: &CprModel) -> Bytes {
                 integer,
                 ..
             } => {
-                buf.put_u8(match spacing {
+                let kind = match spacing {
                     Spacing::Uniform => 0,
                     Spacing::Logarithmic => 1,
-                });
-                buf.put_u8(u8::from(*integer));
-                buf.put_f64_le(*lo);
-                buf.put_f64_le(*hi);
-                buf.put_u32_le(axis.len() as u32);
+                };
+                (kind, u8::from(*integer), *lo, *hi, axis.len())
             }
-            ParamSpec::Categorical { cardinality, .. } => {
-                buf.put_u8(2);
-                buf.put_u8(0);
-                buf.put_f64_le(0.0);
-                buf.put_f64_le(0.0);
-                buf.put_u32_le(*cardinality as u32);
-            }
-        }
+            ParamSpec::Categorical { cardinality, .. } => (2, 0, 0.0, 0.0, *cardinality),
+        };
+        buf.push(kind);
+        buf.push(integer);
+        put_f64s(&mut buf, &[lo, hi]);
+        buf.extend_from_slice(&(n_cells as u32).to_le_bytes());
     }
     match model.decomposition() {
         Decomposition::Cp(cp) => {
-            buf.put_u8(DECOMP_CP);
-            buf.put_u16_le(cp.rank() as u16);
+            buf.push(DECOMP_CP);
+            buf.extend_from_slice(&(cp.rank() as u16).to_le_bytes());
             for mode in 0..cp.order() {
                 let f = cp.factor(mode);
-                buf.put_u32_le(f.rows() as u32);
-                for &v in f.as_slice() {
-                    buf.put_f64_le(v);
-                }
+                buf.extend_from_slice(&(f.rows() as u32).to_le_bytes());
+                put_f64s(&mut buf, f.as_slice());
             }
         }
         Decomposition::Tucker(t) => {
-            buf.put_u8(DECOMP_TUCKER);
+            buf.push(DECOMP_TUCKER);
             for &r in t.ranks() {
-                buf.put_u16_le(r as u16);
+                buf.extend_from_slice(&(r as u16).to_le_bytes());
             }
             for mode in 0..t.order() {
                 let f = t.factor(mode);
-                buf.put_u32_le(f.rows() as u32);
-                for &v in f.as_slice() {
-                    buf.put_f64_le(v);
-                }
+                buf.extend_from_slice(&(f.rows() as u32).to_le_bytes());
+                put_f64s(&mut buf, f.as_slice());
             }
-            for &v in t.core().as_slice() {
-                buf.put_f64_le(v);
-            }
+            put_f64s(&mut buf, t.core().as_slice());
         }
     }
-    buf.freeze()
+    buf.into_boxed_slice()
 }
 
 /// Final-assembly errors (`from_parts*` refusing structurally
@@ -154,35 +152,84 @@ fn as_corrupt(e: CprError) -> CprError {
     }
 }
 
-fn need(data: &&[u8], n: usize, what: &str) -> Result<()> {
-    if data.remaining() < n {
-        Err(CprError::Corrupt(format!("truncated while reading {what}")))
-    } else {
-        Ok(())
+/// Bounds-checked little-endian reader over untrusted bytes: a read past
+/// the end is `Corrupt` naming the field, never a panic, and nothing is
+/// copied until a whole field is known to be present.
+struct Reader<'a> {
+    data: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.data.len()
+    }
+
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
+        if self.data.len() < n {
+            return Err(CprError::Corrupt(format!("truncated while reading {what}")));
+        }
+        let (head, tail) = self.data.split_at(n);
+        self.data = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N]> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N, what)?);
+        Ok(out)
+    }
+
+    fn u8(&mut self, what: &str) -> Result<u8> {
+        Ok(self.take(1, what)?[0])
+    }
+
+    fn u16(&mut self, what: &str) -> Result<u16> {
+        self.array(what).map(u16::from_le_bytes)
+    }
+
+    fn u32(&mut self, what: &str) -> Result<u32> {
+        self.array(what).map(u32::from_le_bytes)
+    }
+
+    fn f64(&mut self, what: &str) -> Result<f64> {
+        self.array(what).map(f64::from_le_bytes)
+    }
+
+    /// `n` finite doubles. The length check comes first, so the
+    /// allocation is bounded by the input size; a count too large for any
+    /// input saturates and fails that check.
+    fn finite_f64s(&mut self, n: usize, what: &str) -> Result<Vec<f64>> {
+        let raw = self.take(n.saturating_mul(8), what)?;
+        let values: Vec<f64> = raw
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+            .collect();
+        if values.iter().any(|v| !v.is_finite()) {
+            return Err(CprError::Corrupt(format!("non-finite {what} entry")));
+        }
+        Ok(values)
     }
 }
 
 /// Shared axis-table reader (identical layout in v1 and v2): returns the
 /// parameter specs and per-mode cell counts.
-fn read_axes(data: &mut &[u8], order: usize) -> Result<(Vec<ParamSpec>, Vec<usize>)> {
+fn read_axes(r: &mut Reader<'_>, order: usize) -> Result<(Vec<ParamSpec>, Vec<usize>)> {
     let mut specs = Vec::with_capacity(order);
     let mut cells = Vec::with_capacity(order);
     for _ in 0..order {
-        need(data, 2, "name length")?;
-        let name_len = data.get_u16_le() as usize;
-        need(data, name_len + 2 + 16 + 4, "axis body")?;
-        let name = String::from_utf8(data.copy_to_bytes(name_len).to_vec())
+        let name_len = r.u16("name length")? as usize;
+        let name = String::from_utf8(r.take(name_len, "axis name")?.to_vec())
             .map_err(|_| CprError::Corrupt("non-utf8 parameter name".into()))?;
-        let kind = data.get_u8();
-        let integer = data.get_u8() != 0;
-        let lo = data.get_f64_le();
-        let hi = data.get_f64_le();
-        let n_cells = data.get_u32_le() as usize;
+        let kind = r.u8("axis kind")?;
+        let integer = r.u8("axis integer flag")? != 0;
+        let lo = r.f64("axis lo")?;
+        let hi = r.f64("axis hi")?;
+        let n_cells = r.u32("axis cell count")? as usize;
         // Allocation guard: building an axis allocates O(n_cells), but a
         // valid file must still carry ≥ 8 bytes of factor data per cell
         // of this mode after this point — so a count beyond remaining/8
         // is corrupt, and allocations stay bounded by the input size.
-        if n_cells > data.remaining() / 8 {
+        if n_cells > r.remaining() / 8 {
             return Err(CprError::Corrupt(format!(
                 "axis cell count {n_cells} exceeds payload"
             )));
@@ -235,102 +282,83 @@ fn read_axes(data: &mut &[u8], order: usize) -> Result<(Vec<ParamSpec>, Vec<usiz
 
 /// Read one factor matrix (`rows` header + `rows * cols` doubles),
 /// rejecting non-finite entries.
-fn read_factor(data: &mut &[u8], cols: usize) -> Result<Matrix> {
-    need(data, 4, "factor rows")?;
-    let rows = data.get_u32_le() as usize;
-    need(data, rows * cols * 8, "factor data")?;
-    let mut m = Matrix::zeros(rows, cols);
-    for v in m.as_mut_slice() {
-        *v = data.get_f64_le();
+fn read_factor(r: &mut Reader<'_>, cols: usize) -> Result<Matrix> {
+    let rows = r.u32("factor rows")? as usize;
+    let data = r.finite_f64s(rows.saturating_mul(cols), "factor")?;
+    Ok(Matrix::from_vec(rows, cols, data))
+}
+
+/// The log offset, order and axis table that open both versions' bodies
+/// after their tags.
+fn read_grid(r: &mut Reader<'_>) -> Result<(f64, Vec<ParamSpec>, Vec<usize>)> {
+    let log_offset = r.f64("log offset")?;
+    if !log_offset.is_finite() {
+        return Err(CprError::Corrupt("non-finite log offset".into()));
     }
-    if m.has_non_finite() {
-        return Err(CprError::Corrupt("non-finite factor entry".into()));
+    let order = r.u16("order")? as usize;
+    if order == 0 {
+        return Err(CprError::Corrupt("zero tensor order".into()));
     }
-    Ok(m)
+    let (specs, cells) = read_axes(r, order)?;
+    Ok((log_offset, specs, cells))
+}
+
+/// CP rank + one factor per mode (identical layout in v1 and v2).
+fn read_cp(r: &mut Reader<'_>, order: usize) -> Result<CpDecomp> {
+    let rank = r.u16("rank")? as usize;
+    if rank == 0 {
+        return Err(CprError::Corrupt("zero rank".into()));
+    }
+    let factors = (0..order)
+        .map(|_| read_factor(r, rank))
+        .collect::<Result<Vec<_>>>()?;
+    Ok(CpDecomp::from_factors(factors))
 }
 
 /// Deserialize a model previously produced by [`to_bytes`] — any format
 /// version ever emitted (v1 or v2).
-pub fn from_bytes(mut data: &[u8]) -> Result<CprModel> {
-    need(&data, 6, "header")?;
-    if data.get_u32_le() != MAGIC {
+pub fn from_bytes(data: &[u8]) -> Result<CprModel> {
+    let mut r = Reader { data };
+    if r.u32("header")? != MAGIC {
         return Err(CprError::Corrupt("bad magic".into()));
     }
-    let version = data.get_u16_le();
-    match version {
-        1 => from_bytes_v1(data),
-        2 => from_bytes_v2(data),
+    match r.u16("header")? {
+        1 => from_bytes_v1(r),
+        2 => from_bytes_v2(r),
         other => Err(CprError::Corrupt(format!("unsupported version {other}"))),
     }
 }
 
 /// v1 body: loss tag, log offset, axes, CP rank + factors. The optimizer
 /// tag did not exist yet; it is implied from the loss.
-fn from_bytes_v1(mut data: &[u8]) -> Result<CprModel> {
-    need(&data, 1 + 8 + 2, "v1 header")?;
-    let loss = loss_from_tag(data.get_u8())?;
-    let log_offset = data.get_f64_le();
-    if !log_offset.is_finite() {
-        return Err(CprError::Corrupt("non-finite log offset".into()));
-    }
-    let order = data.get_u16_le() as usize;
-    if order == 0 {
-        return Err(CprError::Corrupt("zero tensor order".into()));
-    }
-    let (specs, cells) = read_axes(&mut data, order)?;
-    need(&data, 2, "rank")?;
-    let rank = data.get_u16_le() as usize;
-    if rank == 0 {
-        return Err(CprError::Corrupt("zero rank".into()));
-    }
-    let mut factors = Vec::with_capacity(order);
-    for _ in 0..order {
-        factors.push(read_factor(&mut data, rank)?);
-    }
-    let space = ParamSpace::new(specs);
-    let cp = CpDecomp::from_factors(factors);
-    CprModel::from_parts(space, &cells, cp, loss, log_offset).map_err(as_corrupt)
+fn from_bytes_v1(mut r: Reader<'_>) -> Result<CprModel> {
+    let loss = loss_from_tag(r.u8("loss tag")?)?;
+    let (log_offset, specs, cells) = read_grid(&mut r)?;
+    let cp = read_cp(&mut r, specs.len())?;
+    CprModel::from_parts(ParamSpace::new(specs), &cells, cp, loss, log_offset).map_err(as_corrupt)
 }
 
 /// v2 body: optimizer tag, loss tag, log offset, axes, decomposition tag +
 /// payload.
-fn from_bytes_v2(mut data: &[u8]) -> Result<CprModel> {
-    need(&data, 1 + 1 + 8 + 2, "v2 header")?;
-    let optimizer = optimizer_from_tag(data.get_u8())?;
-    let loss = loss_from_tag(data.get_u8())?;
+fn from_bytes_v2(mut r: Reader<'_>) -> Result<CprModel> {
+    let optimizer = optimizer_from_tag(r.u8("optimizer tag")?)?;
+    let loss = loss_from_tag(r.u8("loss tag")?)?;
     if optimizer.requires_positive() != (loss == Loss::MLogQ2) {
         return Err(CprError::Corrupt(format!(
             "optimizer {} paired with incompatible loss {loss:?}",
             optimizer.name()
         )));
     }
-    let log_offset = data.get_f64_le();
-    if !log_offset.is_finite() {
-        return Err(CprError::Corrupt("non-finite log offset".into()));
-    }
-    let order = data.get_u16_le() as usize;
-    if order == 0 {
-        return Err(CprError::Corrupt("zero tensor order".into()));
-    }
-    let (specs, cells) = read_axes(&mut data, order)?;
-    need(&data, 1, "decomposition tag")?;
-    let decomp = match data.get_u8() {
+    let (log_offset, specs, cells) = read_grid(&mut r)?;
+    let order = specs.len();
+    let decomp = match r.u8("decomposition tag")? {
         DECOMP_CP => {
             if optimizer.fits_tucker() {
                 return Err(CprError::Corrupt(
                     "tucker-als tag on a CP decomposition".into(),
                 ));
             }
-            need(&data, 2, "rank")?;
-            let rank = data.get_u16_le() as usize;
-            if rank == 0 {
-                return Err(CprError::Corrupt("zero rank".into()));
-            }
-            let mut factors = Vec::with_capacity(order);
-            for _ in 0..order {
-                factors.push(read_factor(&mut data, rank)?);
-            }
-            Decomposition::Cp(CpDecomp::from_factors(factors))
+            Decomposition::Cp(read_cp(&mut r, order)?)
         }
         DECOMP_TUCKER => {
             if !optimizer.fits_tucker() {
@@ -339,35 +367,27 @@ fn from_bytes_v2(mut data: &[u8]) -> Result<CprModel> {
                     optimizer.name()
                 )));
             }
-            need(&data, 2 * order, "tucker ranks")?;
             let mut ranks = Vec::with_capacity(order);
             for _ in 0..order {
-                let r = data.get_u16_le() as usize;
-                if r == 0 {
+                let rank = r.u16("tucker ranks")? as usize;
+                if rank == 0 {
                     return Err(CprError::Corrupt("zero tucker rank".into()));
                 }
-                ranks.push(r);
+                ranks.push(rank);
             }
-            let mut factors = Vec::with_capacity(order);
-            for &r in &ranks {
-                factors.push(read_factor(&mut data, r)?);
-            }
+            let factors = ranks
+                .iter()
+                .map(|&rank| read_factor(&mut r, rank))
+                .collect::<Result<Vec<_>>>()?;
             // Checked arithmetic: a crafted file can declare up to 65535
             // modes of rank 65535, whose product wraps — every malformed
             // field must land in Corrupt, never a panic or huge alloc.
             let core_len = ranks
                 .iter()
-                .try_fold(1usize, |a, &r| a.checked_mul(r))
+                .try_fold(1usize, |a, &k| a.checked_mul(k))
                 .and_then(|n| n.checked_mul(8).map(|_| n))
                 .ok_or_else(|| CprError::Corrupt("tucker core size overflow".into()))?;
-            need(&data, core_len * 8, "tucker core")?;
-            let mut core = vec![0.0; core_len];
-            for v in core.iter_mut() {
-                *v = data.get_f64_le();
-                if !v.is_finite() {
-                    return Err(CprError::Corrupt("non-finite core entry".into()));
-                }
-            }
+            let core = r.finite_f64s(core_len, "core")?;
             Decomposition::Tucker(TuckerDecomp::from_parts(
                 DenseTensor::from_vec(&ranks, core),
                 factors,
@@ -375,9 +395,15 @@ fn from_bytes_v2(mut data: &[u8]) -> Result<CprModel> {
         }
         other => return Err(CprError::Corrupt(format!("bad decomposition tag {other}"))),
     };
-    let space = ParamSpace::new(specs);
-    CprModel::from_parts_tagged(space, &cells, decomp, optimizer, loss, log_offset)
-        .map_err(as_corrupt)
+    CprModel::from_parts_tagged(
+        ParamSpace::new(specs),
+        &cells,
+        decomp,
+        optimizer,
+        loss,
+        log_offset,
+    )
+    .map_err(as_corrupt)
 }
 
 #[cfg(test)]
@@ -510,8 +536,6 @@ mod tests {
         let frozen = [
             (Optimizer::Als, 0u8),
             (Optimizer::Amn, 1),
-            (Optimizer::Ccd, 2),
-            (Optimizer::Sgd, 3),
             (Optimizer::TuckerAls, 4),
         ];
         assert_eq!(
@@ -522,6 +546,64 @@ mod tests {
         for (opt, tag) in frozen {
             assert_eq!(optimizer_tag(opt), tag, "{} tag moved", opt.name());
             assert_eq!(optimizer_from_tag(tag).unwrap(), opt);
+        }
+    }
+
+    #[test]
+    fn legacy_descent_tags_load_as_als() {
+        let (space, _) = training_data();
+        let tag0 = to_bytes(&trained_model());
+        assert_eq!(tag0[6], 0, "byte 6 is the optimizer tag");
+        let als = from_bytes(&tag0).unwrap();
+        let probes = [
+            [100.0, 2.0, 0.0],
+            [1500.0, 9.0, 1.0],
+            [32.0, 0.0, 0.0],
+            [5000.0, -1.0, 1.0],
+        ];
+        for legacy in [2u8, 3] {
+            let mut raw = tag0.to_vec();
+            raw[6] = legacy;
+            let restored = from_bytes(&raw).unwrap();
+            assert_eq!(restored.optimizer(), Optimizer::Als, "tag {legacy}");
+            for probe in &probes {
+                assert_eq!(
+                    restored.predict(probe).to_bits(),
+                    als.predict(probe).to_bits(),
+                    "tag {legacy} at {probe:?}"
+                );
+            }
+            assert_eq!(to_bytes(&restored), tag0, "tag {legacy} re-encodes as 0");
+        }
+        // Neither legacy fitter ever produced an MLogQ² or a Tucker model.
+        let cells = [6, 4, 2];
+        let mlogq = CprModel::from_parts(
+            space.clone(),
+            &cells,
+            CpDecomp::random(&cells, 2, 0.1, 1.5, 3),
+            Loss::MLogQ2,
+            0.0,
+        )
+        .unwrap();
+        let tucker = CprModel::from_parts_tagged(
+            space,
+            &cells,
+            Decomposition::Tucker(TuckerDecomp::random(&cells, &[2, 2, 2], -1.0, 1.0, 5)),
+            Optimizer::TuckerAls,
+            Loss::LogLeastSquares,
+            0.25,
+        )
+        .unwrap();
+        for model in [&mlogq, &tucker] {
+            for legacy in [2u8, 3] {
+                let mut raw = to_bytes(model).to_vec();
+                raw[6] = legacy;
+                assert!(
+                    matches!(from_bytes(&raw), Err(CprError::Corrupt(_))),
+                    "tag {legacy} on a {} payload",
+                    model.optimizer().name()
+                );
+            }
         }
     }
 

@@ -27,6 +27,12 @@ struct CellStat {
     entry: u32,
 }
 
+/// Ridge λ of every update sweep, whatever λ the initial fit used. The
+/// model bytes do not carry λ, so [`StreamingCpr::resume`] could not
+/// recover a per-model value, and a restarted trainer would then refit
+/// differently from one that never crashed.
+const UPDATE_LAMBDA: f64 = 1e-5;
+
 /// An incrementally updatable CPR model (LogLeastSquares/ALS only — the
 /// interpolation regime where online tuning data arrives).
 #[derive(Debug, Clone)]
@@ -34,7 +40,6 @@ pub struct StreamingCpr {
     model: CprModel,
     space: ParamSpace,
     cells: Vec<usize>,
-    lambda: f64,
     /// Running stats per observed cell, in time units.
     cell_stats: BTreeMap<Vec<usize>, CellStat>,
     /// Cached observation tensor: one entry per observed cell holding the
@@ -94,7 +99,6 @@ impl StreamingCpr {
         let streams = build_streams(&obs);
         Ok(Self {
             samples: data.len(),
-            lambda: 1e-5,
             model,
             space,
             cells,
@@ -128,7 +132,6 @@ impl StreamingCpr {
         let streams = build_streams(&obs);
         Ok(Self {
             samples: 0,
-            lambda: 1e-5,
             model,
             space,
             cells,
@@ -136,12 +139,6 @@ impl StreamingCpr {
             obs,
             streams,
         })
-    }
-
-    /// Override the ridge parameter used by update sweeps.
-    pub fn with_lambda(mut self, lambda: f64) -> Self {
-        self.lambda = lambda;
-        self
     }
 
     /// Absorb a batch of new measurements: update cell statistics and run
@@ -214,7 +211,7 @@ impl StreamingCpr {
 
         let mut cp = self.model.cp().clone();
         let cfg = AlsConfig {
-            lambda: self.lambda,
+            lambda: UPDATE_LAMBDA,
             stop: StopRule {
                 max_sweeps: sweeps,
                 tol: 1e-9,
@@ -433,7 +430,7 @@ mod tests {
         }
         // Refit equivalence: same warm start, cached streams vs fresh ones.
         let cfg = cpr_completion::AlsConfig {
-            lambda: 1e-5,
+            lambda: UPDATE_LAMBDA,
             stop: cpr_completion::StopRule {
                 max_sweeps: 5,
                 tol: -1.0,

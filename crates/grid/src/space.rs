@@ -73,12 +73,6 @@ pub struct TensorGrid {
 }
 
 impl TensorGrid {
-    /// Build directly from axes.
-    pub fn from_axes(axes: Vec<Axis>) -> Self {
-        assert!(!axes.is_empty());
-        Self { axes }
-    }
-
     /// Tensor order.
     pub fn order(&self) -> usize {
         self.axes.len()

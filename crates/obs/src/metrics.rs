@@ -166,14 +166,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// The current value of a registered gauge, if any.
-    pub fn gauge_value(&self, name: &str) -> Option<i64> {
-        match self.metrics.lock().expect("metrics poisoned").get(name) {
-            Some(Metric::Gauge(g)) => Some(g.get()),
-            _ => None,
-        }
-    }
-
     /// A snapshot of a registered histogram, if any.
     pub fn histogram_snapshot(&self, name: &str) -> Option<crate::HistSnapshot> {
         match self.metrics.lock().expect("metrics poisoned").get(name) {

@@ -483,16 +483,6 @@ impl RefitPipeline {
         Self::with_parts(registry, cfg, FaultInjector::none(), Some(store))
     }
 
-    /// Store and fault injector together (crash-matrix tests).
-    pub fn with_store_and_faults(
-        registry: Arc<ModelRegistry>,
-        cfg: PipelineConfig,
-        store: Arc<FleetStore>,
-        faults: FaultInjector,
-    ) -> Self {
-        Self::with_parts(registry, cfg, faults, Some(store))
-    }
-
     fn with_parts(
         registry: Arc<ModelRegistry>,
         cfg: PipelineConfig,
@@ -1128,7 +1118,7 @@ fn fit_gate_install(
 
     // Install through the wire format — the same parse a cold load gets,
     // so a corrupt candidate is rejected, not served.
-    let clean = serialize::to_bytes(candidate.model()).as_ref().to_vec();
+    let clean = serialize::to_bytes(candidate.model()).into_vec();
     let mut bytes = clean.clone();
     shared.faults.corrupt(job.index, job.attempt, &mut bytes);
     let loaded = match serialize::from_bytes(&bytes) {

@@ -149,18 +149,6 @@ pub enum SwapOutcome {
     Missing,
 }
 
-impl RegistryStats {
-    /// Fraction of served queries that hit a resident dense table.
-    pub fn dense_hit_rate(&self) -> f64 {
-        let total = self.dense_hits + self.gather_hits;
-        if total == 0 {
-            0.0
-        } else {
-            self.dense_hits as f64 / total as f64
-        }
-    }
-}
-
 /// A sharded, concurrently readable fleet of servable models. See the
 /// module docs for the locking design; the serving guarantees are:
 ///
@@ -813,8 +801,8 @@ impl ModelRegistry {
         let mut models = Vec::new();
         for id in self.ids() {
             if let Some(entry) = self.entry(&id) {
-                let bytes = serialize::to_bytes(&entry.model.load());
-                models.push((id.store_key(), bytes.as_ref().to_vec()));
+                let bytes = serialize::to_bytes(&entry.model.load()).into_vec();
+                models.push((id.store_key(), bytes));
             }
         }
         Ok(store.snapshots().commit_fleet(models)?)

@@ -70,7 +70,7 @@ fn corrupt_header_and_payload_rejected() {
 /// failure.
 #[test]
 fn failed_reload_keeps_old_entry_serving() {
-    let (model_a, _, _) = random_model(2, 6, 4, 2, 5);
+    let (model_a, _, _) = random_model(0, 6, 4, 2, 5);
     let registry = ModelRegistry::new();
     let id = ModelId::new("spmv", "frontier", "energy");
     registry.insert(id.clone(), model_a.clone());
@@ -107,8 +107,8 @@ fn reload_under_concurrent_readers_is_a_clean_snapshot_swap() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    let (model_a, _, _) = random_model(2, 6, 4, 2, 5);
-    let (model_b, _, _) = random_model(2, 6, 4, 2, 6);
+    let (model_a, _, _) = random_model(0, 6, 4, 2, 5);
+    let (model_b, _, _) = random_model(0, 6, 4, 2, 6);
     let probe = [77.0, 3.0, 0.0];
     let want_a = model_a.predict(&probe).to_bits();
     let want_b = model_b.predict(&probe).to_bits();

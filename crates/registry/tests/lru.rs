@@ -2,7 +2,7 @@
 //! bitwise-stable demotion/promotion round-trips.
 //!
 //! Only plans that expand Eq. 5's corners carry a dense corner-value table
-//! — MLogQ² CP and Tucker, 2 of the fixture's 5 tag combinations — so the
+//! — MLogQ² CP and Tucker, 2 of the fixture fleet's 5 slots — so the
 //! tier invariants run over those entries ([`table_fleet`]). CP
 //! log-least-squares plans serve separably without a table; one test pins
 //! that such entries never become resident and serve the same bits at
@@ -11,7 +11,7 @@
 mod common;
 
 use common::{id_of, load_fleet};
-use cpr_bench::fixtures::{fleet, fleet_queries, FleetModel, TAG_COMBOS};
+use cpr_bench::fixtures::{fleet, fleet_queries, FleetModel, FLEET_SLOTS};
 use cpr_core::Loss;
 use cpr_registry::{ModelId, ModelRegistry};
 
@@ -23,7 +23,7 @@ fn expands_corners(f: &FleetModel) -> bool {
 /// `n` table-carrying entries (MLogQ² CP and Tucker) of a seeded fleet,
 /// in fleet order. Every fixture grid is small enough to carry its table.
 fn table_fleet(n: usize, seed: u64) -> Vec<FleetModel> {
-    let models: Vec<FleetModel> = fleet(n * TAG_COMBOS.len(), seed)
+    let models: Vec<FleetModel> = fleet(n * FLEET_SLOTS.len(), seed)
         .into_iter()
         .filter(expands_corners)
         .take(n)
@@ -287,11 +287,7 @@ fn separable_entries_are_never_resident_and_serve_identically_at_every_budget() 
     let separable: Vec<usize> = (0..models.len())
         .filter(|&i| !expands_corners(&models[i]))
         .collect();
-    assert_eq!(
-        separable.len(),
-        9,
-        "3 of the 5 tag combinations are log-LS CP"
-    );
+    assert_eq!(separable.len(), 9, "3 of the 5 fleet slots are log-LS CP");
     for &i in &separable {
         assert_eq!(models[i].model.plan().dense_cache_bytes(), 0);
     }

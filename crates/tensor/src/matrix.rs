@@ -106,11 +106,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume into the underlying row-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow row `i` as a slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
@@ -136,13 +131,6 @@ impl Matrix {
         for i in 0..self.rows {
             self[(i, j)] = v[i];
         }
-    }
-
-    /// Split the storage into disjoint mutable row chunks, one per row.
-    ///
-    /// Useful for Rayon loops that update factor-matrix rows independently.
-    pub fn par_rows_mut(&mut self) -> std::slice::ChunksMut<'_, f64> {
-        self.data.chunks_mut(self.cols)
     }
 
     /// Transposed copy.

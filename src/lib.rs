@@ -8,8 +8,8 @@
 //!
 //! * [`tensor`] — dense matrices, decompositions (Cholesky/QR/SVD), dense and
 //!   sparse (partially observed) tensors, and the CP factor model.
-//! * [`completion`] — tensor-completion optimizers: ALS, CCD, SGD, and the
-//!   interior-point alternating Newton method (AMN) for positive models.
+//! * [`completion`] — tensor-completion optimizers: ALS, the interior-point
+//!   alternating Newton method (AMN) for positive models, and Tucker-ALS.
 //! * [`grid`] — discretization of an application's parameter space onto
 //!   regular grids plus multilinear interpolation (Eq. 5 of the paper).
 //! * [`core`] — the paper's contribution: the `CprModel` interpolation model
@@ -37,9 +37,9 @@
 //!
 //! One builder, any optimizer, one serving surface. A `CprBuilder` carries
 //! a [`core::FitSpec`] (cells, rank, λ, sweeps, seed, loss, optimizer) and
-//! fits with any of the five §4.2 optimizers — ALS, AMN, CCD, SGD, or
-//! Tucker-ALS; every fitted model (and every baseline family, through the
-//! [`core::BaselineModel`] bridge) serves through the same
+//! fits with any of three optimizers — the paper's ALS (§5.2) and AMN
+//! (§5.3), or Tucker-ALS; every fitted model (and every baseline family,
+//! through the [`core::BaselineModel`] bridge) serves through the same
 //! [`core::PerfModel`] trait and round-trips through the versioned binary
 //! format.
 //!
