@@ -29,9 +29,6 @@ pub struct AlsConfig {
     pub lambda: f64,
     /// Stopping rule.
     pub stop: StopRule,
-    /// Scale each row's data term by `1/|Ω_i|` (the paper's row objective).
-    /// When false the raw sum is used, matching classic CP-WOPT.
-    pub scale_by_count: bool,
 }
 
 impl Default for AlsConfig {
@@ -39,7 +36,6 @@ impl Default for AlsConfig {
         Self {
             lambda: 1e-5,
             stop: StopRule::default(),
-            scale_by_count: true,
         }
     }
 }
@@ -187,11 +183,8 @@ fn finish_row(
     fused: bool,
     t2: f64,
 ) -> f64 {
-    let scale = if config.scale_by_count {
-        1.0 / n_entries as f64
-    } else {
-        1.0
-    };
+    // The paper's row objective: the data term scaled by `1/|Ω_i|`.
+    let scale = 1.0 / n_entries as f64;
     s.gram.scale_mut(scale);
     for r in &mut s.rhs {
         *r *= scale;
@@ -390,7 +383,6 @@ mod tests {
                 max_sweeps: 500,
                 tol: 1e-14,
             },
-            scale_by_count: true,
         };
         let trace = als(&mut model, &obs, &cfg);
         // ALS can plateau in "swamps" on exact-recovery problems; require a
@@ -415,7 +407,6 @@ mod tests {
                 max_sweeps: 300,
                 tol: 1e-12,
             },
-            scale_by_count: true,
         };
         als(&mut model, &obs, &cfg);
         // Generalization: error on *all* entries, not just observed ones.
@@ -461,7 +452,6 @@ mod tests {
                 max_sweeps: 200,
                 tol: 1e-14,
             },
-            scale_by_count: true,
         };
         als(&mut model, &obs, &cfg);
         assert!(model.rmse(&obs) < 1e-8, "rmse {}", model.rmse(&obs));
@@ -504,7 +494,6 @@ mod tests {
                 max_sweeps: 400,
                 tol: 1e-13,
             },
-            scale_by_count: true,
         };
         als(&mut model, &obs, &cfg);
         let full = SparseTensor::from_dense(&truth.to_dense());

@@ -28,23 +28,26 @@ use cpr_tensor::linalg::solve_spd_jittered_into;
 use cpr_tensor::{CpDecomp, Matrix, ModeIndex, ModeStream, SparseTensor};
 use rayon::prelude::*;
 
-/// AMN configuration (defaults follow the paper's §6.0.4 values).
+/// Initial barrier parameter η (the paper's §6.0.4 schedule, as are the
+/// constants below).
+const ETA0: f64 = 10.0;
+/// Geometric decrease factor applied to η after each outer sweep.
+const ETA_DECAY: f64 = 1.0 / 8.0;
+/// Stop decreasing η once it falls below this floor.
+const ETA_FLOOR: f64 = 1e-11;
+/// Newton iterations per row subproblem per outer sweep.
+const NEWTON_ITERS: usize = 40;
+/// Newton step tolerance (stop a row early when |Δ|/|u| is below this).
+const NEWTON_TOL: f64 = 1e-10;
+/// Extra full sweeps at the final (floor) barrier value.
+const FINAL_SWEEPS: usize = 4;
+
+/// AMN configuration; the barrier schedule and the Newton settings are the
+/// paper's §6.0.4 values, fixed as the constants above.
 #[derive(Debug, Clone, Copy)]
 pub struct AmnConfig {
     /// Ridge regularization λ.
     pub lambda: f64,
-    /// Initial barrier parameter η.
-    pub eta0: f64,
-    /// Geometric decrease factor applied to η after each outer sweep.
-    pub eta_decay: f64,
-    /// Stop decreasing η once it falls below this floor.
-    pub eta_floor: f64,
-    /// Newton iterations per row subproblem per outer sweep.
-    pub newton_iters: usize,
-    /// Newton step tolerance (stop a row early when |Δ|/|u| is below this).
-    pub newton_tol: f64,
-    /// Extra full sweeps at the final (floor) barrier value.
-    pub final_sweeps: usize,
     /// Stopping rule applied to the barrier-free objective across sweeps.
     pub stop: StopRule,
 }
@@ -53,12 +56,6 @@ impl Default for AmnConfig {
     fn default() -> Self {
         Self {
             lambda: 1e-5,
-            eta0: 10.0,
-            eta_decay: 1.0 / 8.0,
-            eta_floor: 1e-11,
-            newton_iters: 40,
-            newton_tol: 1e-10,
-            final_sweeps: 4,
             stop: StopRule {
                 max_sweeps: 200,
                 tol: 1e-8,
@@ -137,7 +134,7 @@ pub fn amn(cp: &mut CpDecomp, obs: &SparseTensor, config: &AmnConfig) -> Trace {
 
     let mut trace = Trace::default();
     let mut prev = log_objective(cp, obs, config.lambda);
-    let mut eta = config.eta0;
+    let mut eta = ETA0;
     let mut sweeps_at_floor = 0usize;
     for _sweep in 0..config.stop.max_sweeps {
         // The barrier-free data loss is fused into the last mode update
@@ -156,17 +153,17 @@ pub fn amn(cp: &mut CpDecomp, obs: &SparseTensor, config: &AmnConfig) -> Trace {
         let reg: f64 = cp.factors().iter().map(|f| f.fro_norm_sq()).sum();
         let g = data_loss + config.lambda * reg;
         trace.objective.push(g);
-        let at_floor = eta <= config.eta_floor;
+        let at_floor = eta <= ETA_FLOOR;
         if at_floor {
             sweeps_at_floor += 1;
-            if sweeps_at_floor >= config.final_sweeps || config.stop.converged(prev, g) {
+            if sweeps_at_floor >= FINAL_SWEEPS || config.stop.converged(prev, g) {
                 trace.converged = true;
                 break;
             }
         }
         prev = g;
         if !at_floor {
-            eta = (eta * config.eta_decay).max(config.eta_floor);
+            eta = (eta * ETA_DECAY).max(ETA_FLOOR);
         }
     }
     trace
@@ -184,7 +181,7 @@ pub fn amn_reference(cp: &mut CpDecomp, obs: &SparseTensor, config: &AmnConfig) 
 
     let mut trace = Trace::default();
     let mut prev = log_objective(cp, obs, config.lambda);
-    let mut eta = config.eta0;
+    let mut eta = ETA0;
     let mut sweeps_at_floor = 0usize;
     for _sweep in 0..config.stop.max_sweeps {
         let mut data_loss = 0.0;
@@ -198,17 +195,17 @@ pub fn amn_reference(cp: &mut CpDecomp, obs: &SparseTensor, config: &AmnConfig) 
         let reg: f64 = cp.factors().iter().map(|f| f.fro_norm_sq()).sum();
         let g = data_loss + config.lambda * reg;
         trace.objective.push(g);
-        let at_floor = eta <= config.eta_floor;
+        let at_floor = eta <= ETA_FLOOR;
         if at_floor {
             sweeps_at_floor += 1;
-            if sweeps_at_floor >= config.final_sweeps || config.stop.converged(prev, g) {
+            if sweeps_at_floor >= FINAL_SWEEPS || config.stop.converged(prev, g) {
                 trace.converged = true;
                 break;
             }
         }
         prev = g;
         if !at_floor {
-            eta = (eta * config.eta_decay).max(config.eta_floor);
+            eta = (eta * ETA_DECAY).max(ETA_FLOOR);
         }
     }
     trace
@@ -578,7 +575,7 @@ fn newton_row(
     // full `ln` pass over the row's observations per Newton iteration. The
     // reference path recomputes, staying a faithful PR 3 control.
     let mut carried_f0: Option<f64> = None;
-    for _it in 0..config.newton_iters {
+    for _it in 0..NEWTON_ITERS {
         let system_ok = if reference {
             acc_newton_generic(&s.zcache, logs, u, inv, &mut s.grad, s.hess.as_mut_slice())
         } else {
@@ -601,7 +598,7 @@ fn newton_row(
         solve_spd_jittered_into(&s.hess, &s.neg_grad, &mut s.chol, &mut s.delta);
         let dnorm: f64 = s.delta.iter().map(|x| x * x).sum::<f64>().sqrt();
         let unorm: f64 = u.iter().map(|x| x * x).sum::<f64>().sqrt();
-        if !dnorm.is_finite() || dnorm <= config.newton_tol * unorm.max(1e-300) {
+        if !dnorm.is_finite() || dnorm <= NEWTON_TOL * unorm.max(1e-300) {
             break;
         }
         // Fraction-to-boundary: keep iterate strictly positive.

@@ -100,7 +100,6 @@ pub fn complete(
             &AlsConfig {
                 lambda: spec.lambda,
                 stop: spec.stop,
-                scale_by_count: true,
             },
         ),
         (Optimizer::Amn, Decomposition::Cp(cp)) => amn(
@@ -109,7 +108,6 @@ pub fn complete(
             &AmnConfig {
                 lambda: spec.lambda,
                 stop: spec.stop,
-                ..AmnConfig::default()
             },
         ),
         (Optimizer::TuckerAls, Decomposition::Tucker(t)) => tucker_als(

@@ -608,7 +608,6 @@ mod tests {
                     max_sweeps: 200,
                     tol: 1e-12,
                 },
-                scale_by_count: true,
             },
         );
         let full = SparseTensor::from_dense(&truth.to_dense());

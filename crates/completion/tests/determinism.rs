@@ -73,7 +73,6 @@ fn als_is_bitwise_identical_across_thread_counts() {
                 max_sweeps: 25,
                 tol: 1e-12,
             },
-            scale_by_count: true,
         };
         let fit = || {
             let mut cp = CpDecomp::random(dims, 3, 0.0, 1.0, 17);
@@ -99,7 +98,6 @@ fn amn_is_bitwise_identical_across_thread_counts() {
                 max_sweeps: 8,
                 tol: 1e-10,
             },
-            ..Default::default()
         };
         let gm = (obs.values().iter().map(|v| v.ln()).sum::<f64>() / obs.nnz() as f64).exp();
         let fit = || {

@@ -39,7 +39,6 @@ proptest! {
         let cfg = AlsConfig {
             lambda: 1e-6,
             stop: StopRule { max_sweeps: 25, tol: 0.0 },
-            scale_by_count: true,
         };
         let trace = als(&mut model, &obs, &cfg);
         // With the paper's per-row 1/|Ω_i| scaling, each row update is
@@ -69,7 +68,6 @@ proptest! {
         let cfg = AmnConfig {
             lambda: 1e-7,
             stop: StopRule { max_sweeps: 30, tol: 1e-8 },
-            ..Default::default()
         };
         amn(&mut cp, &obs, &cfg);
         prop_assert!(cp.is_strictly_positive());
@@ -89,7 +87,6 @@ proptest! {
         let cfg = AlsConfig {
             lambda: 1e-12,
             stop: StopRule { max_sweeps: 3, tol: 0.0 },
-            scale_by_count: true,
         };
         let trace = als(&mut model, &obs, &cfg);
         prop_assert!(trace.final_objective() < 1e-8, "{}", trace.final_objective());

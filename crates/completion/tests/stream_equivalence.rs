@@ -88,7 +88,6 @@ proptest! {
         let cfg = AlsConfig {
             lambda: 1e-6,
             stop: StopRule { max_sweeps: 4, tol: -1.0 },
-            scale_by_count: true,
         };
         let init = CpDecomp::random(&dims, rank, 0.0, 1.0, seed + 2);
         let run = |streamed: bool, threads: usize| {
@@ -122,8 +121,6 @@ proptest! {
         let cfg = AmnConfig {
             lambda: 1e-6,
             stop: StopRule { max_sweeps: 4, tol: -1.0 },
-            final_sweeps: 4,
-            ..Default::default()
         };
         let init = init_positive(&dims, rank, gm, seed + 2);
         let run = |streamed: bool, threads: usize| {

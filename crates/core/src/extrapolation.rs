@@ -21,6 +21,7 @@ use crate::metrics::Metrics;
 use crate::model::{CprBuilder, CprModel, Loss};
 use cpr_baselines::mars::{fit_univariate_spline, Mars};
 use cpr_baselines::Regressor;
+use cpr_grid::space::interpolate_corners;
 use cpr_grid::ParamSpace;
 use cpr_tensor::linalg::dominant_triple;
 use rayon::prelude::*;
@@ -124,7 +125,21 @@ impl CprExtrapolatorBuilder {
 
     /// Train the positive CP model and fit per-mode extrapolation splines.
     pub fn fit(&self, data: &Dataset) -> Result<CprExtrapolator> {
-        let model = self.inner.fit(data)?;
+        CprExtrapolator::from_model(self.inner.fit(data)?, self.spline_max_terms)
+    }
+}
+
+/// A CPR model extended with §5.3 extrapolation along numerical modes.
+#[derive(Debug, Clone)]
+pub struct CprExtrapolator {
+    model: CprModel,
+    modes: Vec<Option<ModeExtrapolator>>,
+}
+
+impl CprExtrapolator {
+    /// Fit the per-mode rank-1 factorizations and splines of §5.3 over a
+    /// positive CP model.
+    fn from_model(model: CprModel, spline_max_terms: usize) -> Result<CprExtrapolator> {
         if !model.cp().is_strictly_positive() {
             return Err(CprError::InvalidConfig(
                 "AMN training did not preserve factor positivity".into(),
@@ -143,7 +158,7 @@ impl CprExtrapolatorBuilder {
             // against round-off before the log.
             let log_u: Vec<f64> = triple.u.iter().map(|&u| u.max(1e-300).ln()).collect();
             let h: Vec<f64> = axis.midpoints().iter().map(|&m| axis.spec().h(m)).collect();
-            let spline = fit_univariate_spline(&h, &log_u, self.spline_max_terms);
+            let spline = fit_univariate_spline(&h, &log_u, spline_max_terms);
             modes.push(Some(ModeExtrapolator {
                 sigma: triple.sigma,
                 v: triple.v,
@@ -152,16 +167,7 @@ impl CprExtrapolatorBuilder {
         }
         Ok(CprExtrapolator { model, modes })
     }
-}
 
-/// A CPR model extended with §5.3 extrapolation along numerical modes.
-#[derive(Debug, Clone)]
-pub struct CprExtrapolator {
-    model: CprModel,
-    modes: Vec<Option<ModeExtrapolator>>,
-}
-
-impl CprExtrapolator {
     /// The underlying positive CPR model (valid for in-domain predictions).
     pub fn model(&self) -> &CprModel {
         &self.model
@@ -170,9 +176,11 @@ impl CprExtrapolator {
     /// Predict the execution time of a configuration, extrapolating along
     /// any numerical parameter outside its modeled range. In-domain
     /// configurations fall through to the standard Eq. 5 path — served by
-    /// the base model's compiled [`crate::PredictPlan`]; the
-    /// extrapolation corner expansion reads its factor rows from the same
-    /// plan's packed (SoA) bake.
+    /// the base model's compiled [`crate::PredictPlan`]. Otherwise the
+    /// corner sum is [`interpolate_corners`] over the raw grid stencils,
+    /// with each extrapolated mode entering as a point stencil whose one
+    /// corner multiplies in the virtual spline row; factor rows come from
+    /// the plan's packed (SoA) bake.
     pub fn predict(&self, x: &[f64]) -> f64 {
         let grid = self.model.grid();
         assert_eq!(
@@ -180,83 +188,40 @@ impl CprExtrapolator {
             grid.order(),
             "predict: configuration order mismatch"
         );
-        let rank = self.model.cp().rank();
-
-        // Classify each mode: in-domain numerical/categorical modes use
-        // their Eq. 5 stencils; out-of-domain numerical modes are replaced
-        // by the virtual spline row and (per §5.3) excluded from
-        // interpolation; out-of-domain categorical values are clamped.
-        let mut any_extrapolated = false;
-        #[derive(Clone)]
-        enum ModePlan {
-            Stencil { i0: usize, i1: usize, w1: f64 },
-            Virtual(Vec<f64>),
-        }
-        let plans: Vec<ModePlan> = (0..grid.order())
-            .map(|j| {
-                let axis = grid.axis(j);
-                let in_dom = axis.spec().in_domain(x[j]);
-                match (&self.modes[j], in_dom) {
-                    (Some(me), false) => {
-                        any_extrapolated = true;
-                        ModePlan::Virtual(me.virtual_row(axis.spec().h(x[j])))
-                    }
-                    _ => {
-                        let (i0, i1, w1) = axis.stencil(x[j]);
-                        ModePlan::Stencil { i0, i1, w1 }
-                    }
+        // In-domain numerical and all categorical modes keep their Eq. 5
+        // stencils (out-of-domain categorical values clamp); out-of-domain
+        // numerical modes are replaced by the virtual spline row and, per
+        // §5.3, excluded from interpolation.
+        let mut virtual_rows: Vec<Option<Vec<f64>>> = Vec::with_capacity(x.len());
+        let mut stencils = Vec::with_capacity(x.len());
+        for (j, (&xj, mode)) in x.iter().zip(&self.modes).enumerate() {
+            let axis = grid.axis(j);
+            match mode {
+                Some(me) if !axis.spec().in_domain(xj) => {
+                    virtual_rows.push(Some(me.virtual_row(axis.spec().h(xj))));
+                    stencils.push((0, 0, 1.0));
                 }
-            })
-            .collect();
-        if !any_extrapolated {
+                _ => {
+                    virtual_rows.push(None);
+                    stencils.push(axis.stencil(xj));
+                }
+            }
+        }
+        if virtual_rows.iter().all(Option::is_none) {
             return self.model.predict(x);
         }
-
-        // Corner expansion over stencil modes only.
-        let stencil_modes: Vec<usize> = plans
-            .iter()
-            .enumerate()
-            .filter_map(|(j, p)| match p {
-                ModePlan::Stencil { i0, i1, .. } if i0 != i1 => Some(j),
-                _ => None,
-            })
-            .collect();
-        let corners = 1usize << stencil_modes.len();
-        let mut total = 0.0;
-        let mut acc = vec![0.0; rank];
-        for mask in 0..corners {
-            let mut weight = 1.0;
+        let plan = self.model.plan();
+        let mut acc = vec![0.0; plan.rank()];
+        let total = interpolate_corners(&stencils, |idx| {
             acc.fill(1.0);
-            for (j, plan) in plans.iter().enumerate() {
-                match plan {
-                    ModePlan::Virtual(row) => {
-                        for (a, &r) in acc.iter_mut().zip(row) {
-                            *a *= r;
-                        }
-                    }
-                    ModePlan::Stencil { i0, i1, w1 } => {
-                        let (idx, w) = if *i0 == *i1 {
-                            (*i0, 1.0)
-                        } else {
-                            let bit_pos = stencil_modes.iter().position(|&m| m == j).unwrap();
-                            if (mask >> bit_pos) & 1 == 1 {
-                                (*i1, *w1)
-                            } else {
-                                (*i0, 1.0 - *w1)
-                            }
-                        };
-                        weight *= w;
-                        let row = self.model.plan().factor_row(j, idx);
-                        for (a, &r) in acc.iter_mut().zip(row) {
-                            *a *= r;
-                        }
-                    }
+            for (j, (&i, row)) in idx.iter().zip(&virtual_rows).enumerate() {
+                let row = row.as_deref().unwrap_or_else(|| plan.factor_row(j, i));
+                for (a, &r) in acc.iter_mut().zip(row) {
+                    *a *= r;
                 }
             }
-            if weight != 0.0 {
-                total += weight * acc.iter().sum::<f64>();
-            }
-        }
+            acc.iter().sum()
+        });
         total.max(1e-12)
     }
 
@@ -480,6 +445,39 @@ mod tests {
             wrapped.builder().spec().optimizer,
             Some(cpr_completion::Optimizer::Amn)
         );
+    }
+
+    /// The §5.3 serve, pinned bitwise: an FNV-1a-style fold of `predict`
+    /// over fixed probes, out of domain along one numerical mode, along
+    /// both, and in domain, with a categorical mode riding along as a point
+    /// stencil. The base model is a seeded positive CP model rather than a
+    /// fit, because the fit's bits differ between the debug and release
+    /// profiles; the rank-1 factorizations and splines are fitted over it
+    /// as `fit` does. The constant was recorded before the extrapolated
+    /// corner sum moved onto `interpolate_corners`.
+    #[test]
+    fn extrapolated_prediction_bits_are_pinned() {
+        let space = ParamSpace::new(vec![
+            ParamSpec::log("m", 32.0, 512.0),
+            ParamSpec::log("n", 32.0, 2048.0),
+            ParamSpec::categorical("alg", 2),
+        ]);
+        let cp = cpr_completion::init_positive(&[6, 6, 2], 2, 3.0, 4);
+        let model = CprModel::from_parts(space, &[6, 6, 2], cp, Loss::MLogQ2, 0.0).unwrap();
+        let ex = CprExtrapolator::from_model(model, 12).unwrap();
+        // In-domain values first, then out-of-domain ones on both sides.
+        let ms = [40.0, 200.0, 500.0, 10.0, 2048.0, 8192.0];
+        let ns = [50.0, 1500.0, 4.0, 8192.0, 1e5];
+        let mut checksum = 0xcbf2_9ce4_8422_2325u64;
+        for &m in &ms {
+            for &n in &ns {
+                for alg in [0.0, 1.0] {
+                    let bits = ex.predict(&[m, n, alg]).to_bits();
+                    checksum = (checksum ^ bits).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(checksum, 0x97a8_93cc_1f84_33f0);
     }
 
     #[test]

@@ -429,25 +429,17 @@ fn geometric_mean(values: &[f64]) -> f64 {
     (values.iter().map(|v| v.max(1e-300).ln()).sum::<f64>() / values.len().max(1) as f64).exp()
 }
 
-/// Tensor orders served through stack-allocated query scratch. Real models
-/// are order ≤ 7 (paper Table 2); higher orders fall back to a per-call
-/// heap allocation, still bitwise-correct.
+/// Tensor orders whose corner-path stencils live in stack scratch. Real
+/// models are order ≤ 7 (paper Table 2); higher orders allocate them per
+/// query, still bitwise-correct.
 const PLAN_STACK_ORDER: usize = 16;
 /// Mirrors `cpr_tensor`'s stack-accumulator rank bound.
 const PLAN_STACK_RANK: usize = 64;
-/// Largest order with its own monomorphized corner-expansion instance
-/// (fully unrolled stencil/corner loops); orders above share one bounded
-/// body.
-const MONO_ORDER_MAX: usize = 6;
-/// Degenerate-stencil marker in the baked per-query scratch: a mode whose
-/// stencil collapsed to a point stores this in place of its hi-corner
-/// offset (valid offsets are bounded far below by [`DENSE_EVAL_MAX`]).
-const DEGEN: u32 = u32::MAX;
 /// Largest grid (in cells) pre-evaluated into the dense corner-value table
 /// at bake time. 64k cells = 512 KiB of doubles — covers every paper-scale
 /// grid (8⁵ = 32k) while bounding both bake time (`O(cells · d · R)`) and
-/// the plan's memory footprint. Larger grids serve through the factor
-/// gather instead.
+/// the plan's memory footprint. Larger grids evaluate corner values from
+/// the packed factors instead.
 const DENSE_EVAL_MAX: usize = 1 << 16;
 
 // The registry's shard/hot-swap design shares one baked plan across reader
@@ -486,22 +478,25 @@ const _: () = {
 ///   point stencil), multiplied elementwise in mode order and summed over
 ///   the rank: `O(d·R)` per query instead of `O(2^d·d·R)`. These plans
 ///   carry no dense table.
-/// * **MLogQ² CP** interpolates `ln` of the corner values, which does not
-///   factorize: the corner expansion reads the dense table when the grid
-///   has one and gathers factor rows per corner otherwise.
-/// * **Tucker** reads the dense table, or evaluates the core per corner
-///   beyond the cap.
+/// * **MLogQ² CP** (which interpolates `ln` of the corner values) and
+///   **Tucker** do not factorize: they run the reference path's own
+///   corner sum, [`interpolate_corners`], over the masked stencils. Each
+///   corner value is one load from the dense table when the plan carries
+///   one, and is evaluated from the packed factors otherwise.
 ///
-/// Serving runs with **zero allocations per query** (stack scratch up to
-/// order 16 / rank 64) and [`Self::predict_into`] fans a batch out over
-/// the crate thread pool in fixed chunks onto a caller-provided buffer.
+/// [`Self::predict`] allocates nothing (stack scratch up to order 16 and
+/// rank 64), except that Tucker corner values evaluated from the factors
+/// allocate inside the core iteration (`DenseTensor::iter_indexed`).
+/// [`Self::predict_into`] fans a batch out over the crate thread pool in
+/// fixed chunks onto a caller-provided buffer.
 ///
 /// Determinism contract: `plan.predict(x)` and every [`Self::predict_into`]
 /// output are **bitwise identical** to the reference path
 /// [`CprModel::predict_naive`] for every non-NaN query, at any thread
 /// count, and batch outputs are written in input order. The equivalence
 /// is pinned by proptests over random models of orders 1–9, every axis
-/// kind, both losses and random masks.
+/// kind, both losses and random masks, and by order-17 CP and Tucker
+/// cases.
 ///
 /// A plan is a bake, not a view: [`CprModel`] rebakes it whenever the
 /// factors or observation masks change (fit, deserialization,
@@ -515,12 +510,11 @@ pub struct PredictPlan {
     loss: Loss,
     log_offset: f64,
     /// CP rank, or the maximum multilinear rank for Tucker (sizes the
-    /// rank scratch of the factor kernels; unused on the dense path).
+    /// rank scratch of the separable kernels).
     rank: usize,
     /// The Tucker core behind the bake, when the decomposition is Tucker
-    /// (the factor rows already live in `packed`): grids beyond the dense
-    /// cap serve corner values through [`cpr_tensor::eval_core_packed`]
-    /// instead of the CP kernels.
+    /// (the factor rows already live in `packed`): corner values without a
+    /// table come from [`cpr_tensor::eval_core_packed`].
     tucker_core: Option<cpr_tensor::DenseTensor>,
     /// Pre-evaluated corner values over the whole grid, for the plans that
     /// expand corners (MLogQ² CP, Tucker) when the grid fits.
@@ -530,11 +524,11 @@ pub struct PredictPlan {
 /// The partial-evaluation half of the bake for the plans that expand
 /// corners: corner values depend only on grid indices, never on the query,
 /// so for grids up to [`DENSE_EVAL_MAX`] cells the plan evaluates the
-/// completed tensor at *every* grid point once. Serving then replaces the
-/// per-corner `O(d·R)` factor gather with one table load. `values[flat]`
-/// holds exactly what the naive per-corner closure computes —
-/// `cp.eval(idx).max(1e-300).ln()` for MLogQ² CP, `t.eval(idx)` for
-/// Tucker — so the bitwise contract is inherited by
+/// completed tensor at *every* grid point once. Serving then replaces each
+/// corner's evaluation from the factors with one table load at the corner's
+/// row-major offset. `values[flat]` holds exactly what the naive per-corner
+/// closure computes — `cp.eval(idx).max(1e-300).ln()` for MLogQ² CP,
+/// `t.eval(idx)` for Tucker — so the bitwise contract is inherited by
 /// construction. Separable CP log-least-squares plans never carry one:
 /// their kernel does no per-corner work for a table to save.
 #[derive(Debug, Clone)]
@@ -543,6 +537,19 @@ struct DenseEval {
     /// Row-major strides over the grid dims (`u32`: the size cap keeps
     /// every flat index well under 2³²).
     strides: Vec<u32>,
+}
+
+impl DenseEval {
+    /// The table value at a grid multi-index.
+    #[inline(always)]
+    fn at(&self, idx: &[usize]) -> f64 {
+        let flat: usize = idx
+            .iter()
+            .zip(&self.strides)
+            .map(|(&i, &s)| i * s as usize)
+            .sum();
+        self.values[flat]
+    }
 }
 
 impl PredictPlan {
@@ -574,8 +581,7 @@ impl PredictPlan {
     }
 
     /// Evaluate the completed tensor at every grid cell (row-major), in
-    /// corner-value form. `None` when the grid is too large or the order
-    /// exceeds the stack-kernel bound.
+    /// corner-value form. `None` when the grid is too large.
     fn bake_dense(
         decomp: &Decomposition,
         packed: &PackedFactors,
@@ -583,9 +589,6 @@ impl PredictPlan {
         loss: Loss,
     ) -> Option<DenseEval> {
         let d = dims.len();
-        if d > PLAN_STACK_ORDER {
-            return None;
-        }
         let cells = dims
             .iter()
             .try_fold(1usize, |a, &b| a.checked_mul(b))
@@ -597,11 +600,7 @@ impl PredictPlan {
         let mut values = vec![0.0; cells];
         let mut idx = vec![0usize; d];
         for v in values.iter_mut() {
-            let raw = decomp.eval_packed(packed, &idx);
-            *v = match loss {
-                Loss::LogLeastSquares => raw,
-                Loss::MLogQ2 => raw.max(1e-300).ln(),
-            };
+            *v = corner_value(loss, decomp.eval_packed(packed, &idx));
             // Row-major odometer: last axis fastest.
             for j in (0..d).rev() {
                 idx[j] += 1;
@@ -619,7 +618,8 @@ impl PredictPlan {
         self.tables.len()
     }
 
-    /// CP rank of the baked factors.
+    /// Rank of the baked factors: the CP rank, or the largest multilinear
+    /// rank of a Tucker model.
     pub fn rank(&self) -> usize {
         self.rank
     }
@@ -627,8 +627,8 @@ impl PredictPlan {
     /// Whether the bake carried the dense corner-value table: MLogQ² CP and
     /// Tucker plans on grids up to `DENSE_EVAL_MAX` cells. When `false`
     /// queries run from the factors — the separable kernel for CP
-    /// log-least-squares, a per-corner gather otherwise — with output
-    /// bitwise identical to the table's.
+    /// log-least-squares, corner values evaluated from the packed factors
+    /// otherwise — with output bitwise identical to the table's.
     pub fn has_dense_cache(&self) -> bool {
         self.dense.is_some()
     }
@@ -643,10 +643,11 @@ impl PredictPlan {
     }
 
     /// A copy of this plan with the dense corner-value table dropped:
-    /// serving falls back to the per-corner factor gather. Output stays
-    /// bitwise identical — both paths mirror the naive reference — so a
-    /// memory-pressure demotion never changes a prediction. Promotion is a
-    /// rebake ([`CprModel::bake_plan`]), which re-evaluates the table.
+    /// corner values are then evaluated from the packed factors. Output
+    /// stays bitwise identical — both sources hold the naive reference's
+    /// corner values — so a memory-pressure demotion never changes a
+    /// prediction. Promotion is a rebake ([`CprModel::bake_plan`]), which
+    /// re-evaluates the table.
     pub fn without_dense_cache(&self) -> PredictPlan {
         PredictPlan {
             dense: None,
@@ -679,15 +680,17 @@ impl PredictPlan {
             self.tables.len(),
             "predict: configuration order mismatch"
         );
-        match (&self.dense, self.loss) {
-            (Some(_), Loss::LogLeastSquares) => self.predict_dense::<false>(x),
-            (Some(_), Loss::MLogQ2) => self.predict_dense::<true>(x),
-            (None, _) if self.tucker_core.is_some() => self.predict_tucker_fallback(x),
-            (None, Loss::LogLeastSquares) => {
-                self.with_rank_scratch(|acc| self.predict_separable(x, acc))
-            }
-            (None, Loss::MLogQ2) => self.with_rank_scratch(|acc| self.predict_factor(x, acc)),
+        if self.is_separable() {
+            self.with_rank_scratch(|acc| self.predict_separable(x, acc))
+        } else {
+            self.predict_corners(x)
         }
+    }
+
+    /// CP under log-least-squares: the plans served in separable form.
+    #[inline(always)]
+    fn is_separable(&self) -> bool {
+        self.tucker_core.is_none() && self.loss == Loss::LogLeastSquares
     }
 
     /// Run `f` on a rank-length scratch vector: stack-held up to
@@ -751,113 +754,6 @@ impl PredictPlan {
         (v + self.log_offset).clamp(-690.0, 690.0).exp()
     }
 
-    /// Per-corner factor-gather path of MLogQ² CP plans without a dense
-    /// table (grids beyond the cap, or a demoted plan).
-    #[inline]
-    fn predict_factor(&self, x: &[f64], acc: &mut [f64]) -> f64 {
-        match x.len() {
-            1 => self.kernel::<1>(x, acc),
-            2 => self.kernel::<2>(x, acc),
-            3 => self.kernel::<3>(x, acc),
-            4 => self.kernel::<4>(x, acc),
-            5 => self.kernel::<5>(x, acc),
-            6 => self.kernel::<6>(x, acc),
-            d if d <= PLAN_STACK_ORDER => self.kernel::<PLAN_STACK_ORDER>(x, acc),
-            _ => self.predict_dyn(x, acc),
-        }
-    }
-
-    /// Monomorphization dispatch of the dense-table kernel on the tensor
-    /// order: each arm pins the order to a constant, so the instance gets
-    /// fully unrolled stencil and corner loops; the `LOG_CORNERS` constant
-    /// hoists the loss branch out of the corner loop.
-    #[inline]
-    fn predict_dense<const LOG_CORNERS: bool>(&self, x: &[f64]) -> f64 {
-        match x.len() {
-            1 => self.kernel_dense::<1, LOG_CORNERS>(x),
-            2 => self.kernel_dense::<2, LOG_CORNERS>(x),
-            3 => self.kernel_dense::<3, LOG_CORNERS>(x),
-            4 => self.kernel_dense::<4, LOG_CORNERS>(x),
-            5 => self.kernel_dense::<5, LOG_CORNERS>(x),
-            6 => self.kernel_dense::<6, LOG_CORNERS>(x),
-            // bake_dense rejects orders above PLAN_STACK_ORDER.
-            _ => self.kernel_dense::<PLAN_STACK_ORDER, LOG_CORNERS>(x),
-        }
-    }
-
-    /// Single-query kernel over the dense corner-value table.
-    #[inline]
-    fn kernel_dense<const DCAP: usize, const LOG_CORNERS: bool>(&self, x: &[f64]) -> f64 {
-        let dense = self.dense.as_ref().expect("kernel_dense: no dense bake");
-        let d = x.len();
-        assert!(
-            d <= DCAP,
-            "kernel_dense: order {d} exceeds scratch cap {DCAP}"
-        );
-        let mut st = [(0.0f64, 0u32, 0u32); DCAP];
-        for j in 0..d {
-            let (a0, a1, w1, degen) = self.masked_stencil(j, x[j]);
-            let gs = dense.strides[j];
-            let o1 = if degen { DEGEN } else { a1 as u32 * gs };
-            st[j] = (w1, a0 as u32 * gs, o1);
-        }
-        self.corner_expand_dense::<DCAP, LOG_CORNERS>(d, 1, 0, &st[..d], &dense.values)
-    }
-
-    /// Eq. 5 corner expansion over the dense table for query `k` of an
-    /// axis-major block of `m` queries: `st[j*m + k]` holds mode `j`'s
-    /// `(w1, lo_offset, hi_offset)` with [`DEGEN`] marking a point
-    /// stencil; the corner value is one load at the accumulated flat
-    /// offset. Same mask iteration, weight
-    /// products, and weighted-sum order as the naive `interpolate_corners`
-    /// — corner values come pre-evaluated from the bake (see
-    /// [`DenseEval`]), so the result is bitwise-identical.
-    #[inline(always)]
-    fn corner_expand_dense<const DCAP: usize, const LOG_CORNERS: bool>(
-        &self,
-        d: usize,
-        m: usize,
-        k: usize,
-        st: &[(f64, u32, u32)],
-        values: &[f64],
-    ) -> f64 {
-        let d = if DCAP >= 1 && DCAP <= MONO_ORDER_MAX {
-            assert_eq!(d, DCAP, "corner_expand_dense: order/DCAP mismatch");
-            DCAP
-        } else {
-            d
-        };
-        let mut total = 0.0;
-        let corners = 1usize << d;
-        'corner: for mask in 0..corners {
-            let mut weight = 1.0;
-            let mut flat = 0u32;
-            for j in 0..d {
-                let (w1, o0, o1) = st[j * m + k];
-                if (mask >> j) & 1 == 1 {
-                    if o1 == DEGEN {
-                        continue 'corner; // degenerate mode: only corner 0
-                    }
-                    weight *= w1;
-                    flat += o1;
-                } else {
-                    weight *= if o1 == DEGEN { 1.0 } else { 1.0 - w1 };
-                    flat += o0;
-                }
-            }
-            if weight == 0.0 {
-                continue;
-            }
-            total += weight * values[flat as usize];
-        }
-        let log_pred = if LOG_CORNERS {
-            total
-        } else {
-            total + self.log_offset
-        };
-        log_pred.clamp(-690.0, 690.0).exp()
-    }
-
     /// Masked stencil of one mode: baked-table stencil, then
     /// [`apply_mask`]. Returns `(lo_row, hi_row, w1, degenerate)`.
     #[inline(always)]
@@ -866,163 +762,61 @@ impl PredictPlan {
         apply_mask(&self.row_observed[j], i0, i1, w1)
     }
 
-    /// MLogQ² corner expansion over gathered factor rows for one query:
-    /// `st[j]` holds mode `j`'s `(w1, degenerate)` stencil, `rows0`/`rows1`
-    /// the hoisted packed factor rows. `DCAP` in `1..=MONO_ORDER_MAX` pins
-    /// the order to a constant for full unrolling (`0` = dynamic order).
-    /// Every floating-point operation mirrors the naive
-    /// `interpolate_corners` + `ln(CpDecomp::eval)` chain in the same order
-    /// (the accumulator seeds with the first mode's row instead of
-    /// multiplying it into ones — `1.0 * u ≡ u` bitwise for every non-NaN
-    /// `u`), which is what makes the bitwise contract hold.
-    #[inline(always)]
-    fn corner_expand<const DCAP: usize>(
-        &self,
-        d: usize,
-        st: &[(f64, bool)],
-        rows0: &[&[f64]],
-        rows1: &[&[f64]],
-        acc: &mut [f64],
-    ) -> f64 {
-        // Binding the loop bound to the *constant* (not the runtime order)
-        // is what guarantees unrolling even when this body is not inlined
-        // into its dispatch arm.
-        let d = if DCAP >= 1 && DCAP <= MONO_ORDER_MAX {
-            assert_eq!(d, DCAP, "corner_expand: order/DCAP mismatch");
-            DCAP
-        } else {
-            d
-        };
-        let mut total = 0.0;
-        let corners = 1usize << d;
-        'corner: for mask in 0..corners {
-            let mut weight = 1.0;
-            for (j, &(w1, degen)) in st[..d].iter().enumerate() {
-                if (mask >> j) & 1 == 1 {
-                    if degen {
-                        continue 'corner; // degenerate mode: only corner 0
-                    }
-                    weight *= w1;
-                } else {
-                    weight *= if degen { 1.0 } else { 1.0 - w1 };
-                }
-            }
-            if weight == 0.0 {
-                continue;
-            }
-            let first = if mask & 1 == 1 { rows1[0] } else { rows0[0] };
-            // Element loop, not `copy_from_slice`: the slice length is
-            // runtime (the rank), and the memcpy PLT call it lowers to
-            // costs more than the handful of moves it replaces.
-            for (a, &u) in acc.iter_mut().zip(first) {
-                *a = u;
-            }
-            for j in 1..d {
-                let row = if (mask >> j) & 1 == 1 {
-                    rows1[j]
-                } else {
-                    rows0[j]
-                };
-                for (a, &u) in acc.iter_mut().zip(row) {
-                    *a *= u;
-                }
-            }
-            let v: f64 = acc.iter().sum();
-            total += weight * v.max(1e-300).ln();
-        }
-        total.clamp(-690.0, 690.0).exp()
-    }
-
-    /// Single-query MLogQ² factor-gather kernel: masked stencils into
-    /// `DCAP`-bounded stack arrays, then the corner expansion.
-    #[inline]
-    fn kernel<const DCAP: usize>(&self, x: &[f64], acc: &mut [f64]) -> f64 {
+    /// Single-query corner sum of the plans that are not separable
+    /// (MLogQ² CP, Tucker): the masked stencils in stack scratch, then
+    /// [`interpolate_corners`], the naive path's own corner order and
+    /// weights, over corner values bitwise equal to the naive closure's —
+    /// a table load, or the packed-factor evaluation
+    /// ([`PackedFactors::eval_cp`], [`cpr_tensor::eval_core_packed`],
+    /// which mirror `CpDecomp::eval` and `TuckerDecomp::eval`) — then the
+    /// offset, clamp and `exp` of [`CprModel::predict_naive`].
+    fn predict_corners(&self, x: &[f64]) -> f64 {
         let d = x.len();
-        assert!(d <= DCAP, "kernel: order {d} exceeds scratch cap {DCAP}");
-        let mut st = [(0.0f64, false); DCAP];
-        let mut rows0: [&[f64]; DCAP] = [&[]; DCAP];
-        let mut rows1: [&[f64]; DCAP] = [&[]; DCAP];
-        for j in 0..d {
-            let (a0, a1, w1, degen) = self.masked_stencil(j, x[j]);
-            st[j] = (w1, degen);
-            rows0[j] = self.packed.row(j, a0);
-            rows1[j] = self.packed.row(j, a1);
+        let mut stack = [(0usize, 0usize, 0.0f64); PLAN_STACK_ORDER];
+        let mut heap = Vec::new();
+        let stencils = if d <= PLAN_STACK_ORDER {
+            &mut stack[..d]
+        } else {
+            heap.resize(d, (0, 0, 0.0));
+            &mut heap[..]
+        };
+        for (j, (st, &xj)) in stencils.iter_mut().zip(x).enumerate() {
+            let (a0, a1, w1, _) = self.masked_stencil(j, xj);
+            *st = (a0, a1, w1);
         }
-        self.corner_expand::<DCAP>(d, &st[..d], &rows0[..d], &rows1[..d], acc)
-    }
-
-    /// Tucker factor-gather fallback: grids beyond the dense cap (or above
-    /// the stack-order bound) serve Tucker corner values through the same
-    /// masked stencils and `interpolate_corners` expansion as the naive
-    /// reference path, with factor rows read from the packed bake —
-    /// [`cpr_tensor::eval_core_packed`] preserves the naive multiply
-    /// order, so the bitwise contract with [`CprModel::predict_naive`]
-    /// holds here by construction. This path allocates the stencil vector
-    /// per query (paper-scale Tucker grids always take the
-    /// allocation-free dense path; this fallback exists for completeness,
-    /// not speed).
-    #[cold]
-    fn predict_tucker_fallback(&self, x: &[f64]) -> f64 {
-        let core = self
-            .tucker_core
-            .as_ref()
-            .expect("predict_tucker_fallback: CP plan");
-        let stencils: Vec<(usize, usize, f64)> = (0..x.len())
-            .map(|j| {
-                let (i0, i1, w1, _) = self.masked_stencil(j, x[j]);
-                (i0, i1, w1)
-            })
-            .collect();
-        let log_pred = match self.loss {
-            Loss::LogLeastSquares => {
-                interpolate_corners(&stencils, |idx| {
-                    cpr_tensor::eval_core_packed(core, &self.packed, idx)
-                }) + self.log_offset
-            }
-            Loss::MLogQ2 => interpolate_corners(&stencils, |idx| {
-                cpr_tensor::eval_core_packed(core, &self.packed, idx)
-                    .max(1e-300)
-                    .ln()
+        // One closure per corner-value source, matched outside the corner
+        // loop so each inlines into its own `interpolate_corners` instance.
+        let sum = match (&self.dense, &self.tucker_core) {
+            (Some(dense), _) => interpolate_corners(stencils, |idx| dense.at(idx)),
+            (None, Some(core)) => interpolate_corners(stencils, |idx| {
+                corner_value(
+                    self.loss,
+                    cpr_tensor::eval_core_packed(core, &self.packed, idx),
+                )
             }),
+            (None, None) => interpolate_corners(stencils, |idx| {
+                corner_value(self.loss, self.packed.eval_cp(idx))
+            }),
+        };
+        let log_pred = match self.loss {
+            Loss::LogLeastSquares => sum + self.log_offset,
+            Loss::MLogQ2 => sum,
         };
         log_pred.clamp(-690.0, 690.0).exp()
     }
 
-    /// Orders beyond [`PLAN_STACK_ORDER`]: same kernel over heap scratch.
-    /// Cold by construction — the corner expansion is `2^d` regardless of
-    /// path, so per-call allocation is noise here.
-    #[cold]
-    fn predict_dyn(&self, x: &[f64], acc: &mut [f64]) -> f64 {
-        let d = x.len();
-        let mut st = vec![(0.0f64, false); d];
-        let mut rows0: Vec<&[f64]> = vec![&[]; d];
-        let mut rows1: Vec<&[f64]> = vec![&[]; d];
-        for j in 0..d {
-            let (a0, a1, w1, degen) = self.masked_stencil(j, x[j]);
-            st[j] = (w1, degen);
-            rows0[j] = self.packed.row(j, a0);
-            rows1[j] = self.packed.row(j, a1);
-        }
-        self.corner_expand::<0>(d, &st, &rows0, &rows1, acc)
-    }
-
     /// Batched prediction onto a caller-provided buffer. Chunks fan out
-    /// over the crate thread pool; within a chunk, grid quantization is
-    /// **batched axis-major** through [`AxisTable::stencils_for_each`]
-    /// (one axis's table stays register/L1-resident across the whole
-    /// chunk, and the per-query `ln` chains overlap):
+    /// over the crate thread pool; within a chunk, separable plans (CP,
+    /// log-least-squares) quantize **axis-major** through
+    /// [`AxisTable::stencils_for_each`] (one axis's table stays
+    /// register/L1-resident across the whole chunk, and the per-query `ln`
+    /// chains overlap) and fold each stencil's blended factor row straight
+    /// into a chunk-wide `m × R` accumulator, mode by mode, then finish
+    /// each query's rank sum — no per-query corner loop. The other plans
+    /// run the single-query corner sum per query.
     ///
-    /// * separable plans (CP, log-least-squares) fold each stencil's
-    ///   blended factor row straight into a chunk-wide `m × R`
-    ///   accumulator, mode by mode, then finish each query's rank sum —
-    ///   no per-query corner loop;
-    /// * dense-table plans record each stencil's weight and table offsets,
-    ///   then run the corner expansion per query;
-    /// * the remaining plans (no table) run their single-query kernel.
-    ///
-    /// Scratch is per chunk; individual queries allocate nothing. Outputs
-    /// land at the input index, so results are independent of the worker
-    /// count.
+    /// Scratch is per chunk. Outputs land at the input index, so results
+    /// are independent of the worker count.
     pub fn predict_into<X: AsRef<[f64]> + Sync>(&self, xs: &[X], out: &mut [f64]) {
         assert_eq!(xs.len(), out.len(), "predict_into: output length mismatch");
         /// Queries per parallel work item: small enough to load-balance a
@@ -1046,17 +840,11 @@ impl PredictPlan {
                     );
                     xr.push(x);
                 }
-                if let Some(dense) = &self.dense {
-                    self.dense_chunk(chunk, &xr, dense);
-                } else if self.tucker_core.is_some() {
-                    for (o, x) in chunk.iter_mut().zip(&xr) {
-                        *o = self.predict_tucker_fallback(x);
-                    }
-                } else if self.loss == Loss::LogLeastSquares {
+                if self.is_separable() {
                     self.separable_chunk(chunk, &xr);
                 } else {
                     for (o, x) in chunk.iter_mut().zip(&xr) {
-                        *o = self.with_rank_scratch(|acc| self.predict_factor(x, acc));
+                        *o = self.predict_corners(x);
                     }
                 }
             });
@@ -1081,55 +869,23 @@ impl PredictPlan {
         }
     }
 
-    /// One chunk of the dense-table serve: batched masked quantization,
-    /// axis-major — stencil weight plus the two table offsets per (mode,
-    /// query) — then the corner expansion, order/loss-monomorphized with
-    /// the dispatch hoisted out of the per-query loop.
-    fn dense_chunk(&self, chunk: &mut [f64], xr: &[&[f64]], dense: &DenseEval) {
-        let (d, m) = (self.order(), chunk.len());
-        let mut st: Vec<(f64, u32, u32)> = vec![(0.0, 0, 0); m * d];
-        for j in 0..d {
-            let stj = &mut st[j * m..(j + 1) * m];
-            let observed = &self.row_observed[j];
-            let gs = dense.strides[j];
-            self.tables[j].stencils_for_each(xr.iter().map(|x| x[j]), |k, (i0, i1, w1)| {
-                let (a0, a1, w1, degen) = apply_mask(observed, i0, i1, w1);
-                let o1 = if degen { DEGEN } else { a1 as u32 * gs };
-                stj[k] = (w1, a0 as u32 * gs, o1);
-            });
-        }
-        macro_rules! run {
-            ($log:literal, $dcap:literal) => {
-                for (k, o) in chunk.iter_mut().enumerate() {
-                    *o = self.corner_expand_dense::<$dcap, $log>(d, m, k, &st, &dense.values);
-                }
-            };
-        }
-        macro_rules! by_order {
-            ($log:literal) => {
-                match d {
-                    1 => run!($log, 1),
-                    2 => run!($log, 2),
-                    3 => run!($log, 3),
-                    4 => run!($log, 4),
-                    5 => run!($log, 5),
-                    6 => run!($log, 6),
-                    _ => run!($log, 0),
-                }
-            };
-        }
-        match self.loss {
-            Loss::LogLeastSquares => by_order!(false),
-            Loss::MLogQ2 => by_order!(true),
-        }
-    }
-
     /// Batched prediction, allocating the output vector (order matches the
     /// input order).
     pub fn predict_batch<X: AsRef<[f64]> + Sync>(&self, xs: &[X]) -> Vec<f64> {
         let mut out = vec![0.0; xs.len()];
         self.predict_into(xs, &mut out);
         out
+    }
+}
+
+/// The value Eq. 5 interpolates at one corner, from the completed entry
+/// there: the entry itself under log-least-squares (already a log time),
+/// its clamped `ln` under MLogQ² — the naive closure's operations.
+#[inline(always)]
+fn corner_value(loss: Loss, entry: f64) -> f64 {
+    match loss {
+        Loss::LogLeastSquares => entry,
+        Loss::MLogQ2 => entry.max(1e-300).ln(),
     }
 }
 
@@ -2002,8 +1758,8 @@ mod tests {
 
     #[test]
     fn tucker_fallback_path_matches_naive_beyond_dense_cap() {
-        // 300x300 cells = 90k > DENSE_EVAL_MAX: the plan serves Tucker
-        // through the packed-eval fallback instead of the dense table.
+        // 300x300 cells = 90k > DENSE_EVAL_MAX: the plan evaluates Tucker
+        // corner values from the packed factors instead of a dense table.
         let (space, train) = separable_dataset(3000, 44);
         let model = CprBuilder::new(space)
             .cells_per_dim(300)

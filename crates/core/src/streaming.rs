@@ -216,7 +216,6 @@ impl StreamingCpr {
                 max_sweeps: sweeps,
                 tol: 1e-9,
             },
-            scale_by_count: true,
         };
         let trace = als_with_streams(&mut cp, &self.obs, &self.streams, &cfg);
         // Rebuild the public model with refreshed factors and masks; the
@@ -435,7 +434,6 @@ mod tests {
                 max_sweeps: 5,
                 tol: -1.0,
             },
-            scale_by_count: true,
         };
         let obs = s.observations().clone();
         let mut warm_a = s.model().cp().clone();

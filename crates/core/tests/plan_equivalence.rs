@@ -3,7 +3,8 @@
 //! — across random CP models of orders 1–9, every axis kind (linear/log,
 //! float/integer, categorical), both losses, random observed-row masks,
 //! in-domain and out-of-domain probes — through `predict`, `predict_into`
-//! and `predict_batch`, at 1, 2 and 4 threads.
+//! and `predict_batch`, at 1, 2 and 4 threads; and for order-17 MLogQ² CP
+//! and Tucker models, whose corner scratch leaves the stack.
 //!
 //! Under log-least-squares the spec is Eq. 5 in separable form: one blended
 //! factor row per mode, multiplied in mode order and summed over the rank.
@@ -21,7 +22,7 @@
 use cpr_core::{CprModel, Loss};
 use cpr_grid::space::interpolate_corners;
 use cpr_grid::{ParamSpace, ParamSpec};
-use cpr_tensor::{CpDecomp, SparseTensor};
+use cpr_tensor::{CpDecomp, SparseTensor, TuckerDecomp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,12 +58,8 @@ struct Fixture {
     masks: Vec<Vec<bool>>,
 }
 
-/// Random CP factors, then random observed-row masks installed through a
-/// sparse observation tensor so the masking branches of the stencil path
-/// (point-stencil degradation, clamped extrapolation) are exercised. Each
-/// mode keeps a random non-empty subset of its rows observed; entry `t`
-/// of the tensor takes the `t`-th observed row of every mode (cycling), so
-/// the masks are exactly the chosen subsets at any order.
+/// Random CP factors, then random observed-row masks
+/// ([`install_random_masks`]).
 fn random_model(
     params: Vec<ParamSpec>,
     cells: usize,
@@ -85,6 +82,17 @@ fn random_model(
         0.0
     };
     let mut model = CprModel::from_parts(space, &cells_vec, cp, loss, log_offset).unwrap();
+    let masks = install_random_masks(&mut model, &dims, seed);
+    Fixture { model, masks }
+}
+
+/// Random observed-row masks installed through a sparse observation tensor
+/// so the masking branches of the stencil path (point-stencil degradation,
+/// clamped extrapolation) are exercised. Each mode keeps a random
+/// non-empty subset of its rows observed; entry `t` of the tensor takes
+/// the `t`-th observed row of every mode (cycling), so the masks are
+/// exactly the chosen subsets at any order.
+fn install_random_masks(model: &mut CprModel, dims: &[usize], seed: u64) -> Vec<Vec<bool>> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xabcd_1234);
     let masks: Vec<Vec<bool>> = dims
         .iter()
@@ -100,14 +108,14 @@ fn random_model(
         .iter()
         .map(|m| (0..m.len()).filter(|&i| m[i]).collect())
         .collect();
-    let mut obs = SparseTensor::new(&dims);
+    let mut obs = SparseTensor::new(dims);
     let entries = rows.iter().map(Vec::len).max().unwrap();
     for t in 0..entries {
         let idx: Vec<usize> = rows.iter().map(|r| r[t % r.len()]).collect();
         obs.push(&idx, 1.0);
     }
     model.set_row_observed_from(&obs);
-    Fixture { model, masks }
+    masks
 }
 
 /// Random probe for one axis: mostly in-domain, sometimes far outside
@@ -280,8 +288,8 @@ proptest! {
 }
 
 /// Grids beyond the dense-bake cap (64k cells) carry no table: MLogQ²
-/// serves through the per-corner factor-gather fallback and
-/// log-least-squares through the separable kernel. Both must satisfy the
+/// evaluates its corner values from the packed factors and
+/// log-least-squares serves through the separable kernel. Both must satisfy the
 /// same bitwise contract, for single and batched queries.
 #[test]
 fn factor_fallback_is_bitwise_identical_beyond_dense_cap() {
@@ -298,6 +306,61 @@ fn factor_fallback_is_bitwise_identical_beyond_dense_cap() {
         for (x, got) in batch.iter().zip(&fast) {
             assert_eq!(got.to_bits(), f.model.predict_naive(x).to_bits());
             assert_eq!(got.to_bits(), f.model.predict(x).to_bits());
+        }
+    }
+}
+
+/// Orders above 16 move the corner path's scratch (the plan's masked
+/// stencils and `interpolate_corners`' corner index) from the stack to the
+/// heap. An order-17 MLogQ² CP model whose grid fits the dense table, and
+/// an order-17 Tucker model whose 1.2M-cell grid does not, must match the
+/// naive reference bitwise through `predict`, `predict_into` and
+/// `predict_batch`, with the table and without it. Two numerical axes
+/// carry the interpolation; the 1- and 2-cell categorical axes are point
+/// stencils, so a probe sums at most four corners.
+#[test]
+fn order_17_corner_paths_are_bitwise_identical_to_naive() {
+    let numeric = [
+        ParamSpec::log("m", 2.0, 1e4),
+        ParamSpec::linear("b", -5.0, 5.0),
+    ];
+    let mut cp_params = numeric.to_vec();
+    cp_params.extend((0..15).map(|j| ParamSpec::categorical("c", 1 + j % 2)));
+    let cp = random_model(cp_params.clone(), 6, 3, Loss::MLogQ2, 17).model;
+    assert!(cp.plan().has_dense_cache());
+
+    let mut tucker_params = numeric.to_vec();
+    tucker_params.extend((0..15).map(|_| ParamSpec::categorical("c", 2)));
+    let space = ParamSpace::new(tucker_params.clone());
+    let cells = vec![6; space.dim()];
+    let dims = space.grid_with_cells(&cells).dims();
+    let mut ranks = vec![1; dims.len()];
+    ranks[..3].fill(2);
+    let t = TuckerDecomp::random(&dims, &ranks, -1.0, 1.0, 18);
+    let mut tucker = CprModel::from_parts(space, &cells, t, Loss::LogLeastSquares, 0.37).unwrap();
+    install_random_masks(&mut tucker, &dims, 18);
+    assert!(!tucker.plan().has_dense_cache());
+
+    for (model, params) in [(&cp, &cp_params), (&tucker, &tucker_params)] {
+        let xs = probes(params, 16, 19);
+        let naive: Vec<u64> = xs
+            .iter()
+            .map(|x| model.predict_naive(x).to_bits())
+            .collect();
+        for plan in [model.plan().clone(), model.plan().without_dense_cache()] {
+            let mut via_into = vec![0.0; xs.len()];
+            plan.predict_into(&xs, &mut via_into);
+            let via_batch = plan.predict_batch(&xs);
+            for (k, x) in xs.iter().enumerate() {
+                let table = plan.has_dense_cache();
+                assert_eq!(
+                    plan.predict(x).to_bits(),
+                    naive[k],
+                    "predict, table {table}"
+                );
+                assert_eq!(via_into[k].to_bits(), naive[k], "into, table {table}");
+                assert_eq!(via_batch[k].to_bits(), naive[k], "batch, table {table}");
+            }
         }
     }
 }

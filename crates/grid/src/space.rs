@@ -149,13 +149,22 @@ impl TensorGrid {
 
 /// Corner expansion shared by [`TensorGrid::interpolate`] and callers that
 /// post-process stencils (e.g. the CPR model's observed-row masking):
-/// combines `values` at every stencil corner with product weights.
+/// combines `values` at every stencil corner with product weights. The
+/// corner index lives on the stack up to order 16 and on the heap beyond.
 pub fn interpolate_corners(
     stencils: &[(usize, usize, f64)],
     mut values: impl FnMut(&[usize]) -> f64,
 ) -> f64 {
+    const STACK_ORDER: usize = 16;
     let d = stencils.len();
-    let mut idx = vec![0usize; d];
+    let mut stack = [0usize; STACK_ORDER];
+    let mut heap = Vec::new();
+    let idx = if d <= STACK_ORDER {
+        &mut stack[..d]
+    } else {
+        heap.resize(d, 0);
+        &mut heap[..]
+    };
     let mut total = 0.0;
     // Iterate over the 2^d corners; modes with point stencils contribute
     // a single corner (skip the duplicate by checking i0 == i1).
@@ -176,7 +185,7 @@ pub fn interpolate_corners(
             }
         }
         if weight != 0.0 {
-            total += weight * values(&idx);
+            total += weight * values(idx);
         }
     }
     total
