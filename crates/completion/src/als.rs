@@ -13,44 +13,25 @@
 //! sweep parallelizes over rows with Rayon. The per-sweep arithmetic cost is
 //! `O((Σ_j I_j) R³ + |Ω| d R²)`, matching the complexity the paper cites.
 
-use crate::convergence::{StopRule, Trace};
+use crate::convergence::Trace;
+use crate::optimizer::CompletionSpec;
 use crate::sweep::{
-    accumulate_normal_equations_streamed, build_streams, foreign_factors, fused_quadratic_loss,
-    z_source,
+    accumulate, build_streams, foreign_factors, fused_quadratic_loss, z_source, Gathered, RowSystem,
 };
-use cpr_tensor::linalg::solve_spd_jittered_into;
-use cpr_tensor::{CpDecomp, Matrix, ModeIndex, ModeStream, SparseTensor};
+use cpr_tensor::{CpDecomp, ModeIndex, ModeStream, SparseTensor};
 use rayon::prelude::*;
 
-/// ALS configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct AlsConfig {
-    /// Ridge regularization λ (paper sweeps 1e-6..1e-3).
-    pub lambda: f64,
-    /// Stopping rule.
-    pub stop: StopRule,
-}
-
-impl Default for AlsConfig {
-    fn default() -> Self {
-        Self {
-            lambda: 1e-5,
-            stop: StopRule::default(),
-        }
-    }
-}
-
 /// Run ALS tensor completion, updating `cp` in place; returns the per-sweep
-/// objective trace (Eq. 3 with least-squares loss).
+/// objective trace (Eq. 3 with least-squares loss). `spec.lambda` is the
+/// ridge λ (the paper sweeps 1e-6..1e-3).
 ///
 /// This is the **streamed** sweep: per-mode [`ModeStream`] layouts are
 /// built once, each observation's leave-one-out vector is gathered directly
 /// from the foreign factor rows its stream slot names (folded in the
-/// canonical order, see [`crate::sweep`]), and the normal-equation
-/// accumulation dispatches to rank-monomorphized kernels for
-/// `R ∈ {2, 4, 8, 16}`. The retained naive path [`als_reference`]
-/// computes the same fit — proptests pin the two bitwise-equal on random
-/// problems.
+/// canonical order, see [`crate::sweep`]), and the normal equations
+/// accumulate in the row kernel all optimizers share. The retained naive
+/// path [`als_reference`] computes the same fit — proptests pin the two
+/// bitwise-equal on random problems.
 ///
 /// The per-sweep objective is **fused into the last mode update**: every
 /// observation belongs to exactly one row of the final mode, and once that
@@ -59,9 +40,9 @@ impl Default for AlsConfig {
 /// second `O(|Ω| d R)` pass over the observations is needed. Per-row losses
 /// are summed sequentially in row order, keeping the trace — and therefore
 /// the early-stopping decision — bitwise independent of the thread count.
-pub fn als(cp: &mut CpDecomp, obs: &SparseTensor, config: &AlsConfig) -> Trace {
+pub fn als(cp: &mut CpDecomp, obs: &SparseTensor, spec: &CompletionSpec) -> Trace {
     let streams = build_streams(obs);
-    als_with_streams(cp, obs, &streams, config)
+    als_with_streams(cp, obs, &streams, spec)
 }
 
 /// [`als`] with caller-provided observation streams — the streaming-refit
@@ -72,7 +53,7 @@ pub fn als_with_streams(
     cp: &mut CpDecomp,
     obs: &SparseTensor,
     streams: &[ModeStream],
-    config: &AlsConfig,
+    spec: &CompletionSpec,
 ) -> Trace {
     assert_eq!(
         cp.dims(),
@@ -88,20 +69,20 @@ pub fn als_with_streams(
     }
 
     let mut trace = Trace::default();
-    let mut prev = objective(cp, obs, config.lambda);
-    for _sweep in 0..config.stop.max_sweeps {
+    let mut prev = objective(cp, obs, spec.lambda);
+    for _sweep in 0..spec.stop.max_sweeps {
         let mut data_loss = 0.0;
         for (mode, stream) in streams.iter().enumerate() {
             let fused = mode + 1 == d;
-            let loss = update_mode_streamed(cp, stream, mode, rank, config, fused);
+            let loss = update_mode_streamed(cp, stream, mode, rank, spec.lambda, fused);
             if fused {
                 data_loss = loss;
             }
         }
         let reg: f64 = cp.factors().iter().map(|f| f.fro_norm_sq()).sum();
-        let g = data_loss + config.lambda * reg;
+        let g = data_loss + spec.lambda * reg;
         trace.objective.push(g);
-        if config.stop.converged(prev, g) {
+        if spec.stop.converged(prev, g) {
             trace.converged = true;
             break;
         }
@@ -115,7 +96,7 @@ pub fn als_with_streams(
 /// through the [`ModeIndex`] inverted index, with dynamic-rank kernels.
 /// Same math, same operation order — [`als`] must match it bitwise (the
 /// `stream_equivalence` proptests).
-pub fn als_reference(cp: &mut CpDecomp, obs: &SparseTensor, config: &AlsConfig) -> Trace {
+pub fn als_reference(cp: &mut CpDecomp, obs: &SparseTensor, spec: &CompletionSpec) -> Trace {
     assert_eq!(
         cp.dims(),
         obs.dims(),
@@ -126,20 +107,20 @@ pub fn als_reference(cp: &mut CpDecomp, obs: &SparseTensor, config: &AlsConfig) 
     let mode_indices: Vec<ModeIndex> = (0..d).map(|m| obs.mode_index(m)).collect();
 
     let mut trace = Trace::default();
-    let mut prev = objective(cp, obs, config.lambda);
-    for _sweep in 0..config.stop.max_sweeps {
+    let mut prev = objective(cp, obs, spec.lambda);
+    for _sweep in 0..spec.stop.max_sweeps {
         let mut data_loss = 0.0;
         for (mode, mi) in mode_indices.iter().enumerate() {
             let fused = mode + 1 == d;
-            let loss = update_mode_reference(cp, obs, mode, mi, rank, config, fused);
+            let loss = update_mode_reference(cp, obs, mode, mi, rank, spec.lambda, fused);
             if fused {
                 data_loss = loss;
             }
         }
         let reg: f64 = cp.factors().iter().map(|f| f.fro_norm_sq()).sum();
-        let g = data_loss + config.lambda * reg;
+        let g = data_loss + spec.lambda * reg;
         trace.objective.push(g);
-        if config.stop.converged(prev, g) {
+        if spec.stop.converged(prev, g) {
             trace.converged = true;
             break;
         }
@@ -148,52 +129,21 @@ pub fn als_reference(cp: &mut CpDecomp, obs: &SparseTensor, config: &AlsConfig) 
     trace
 }
 
-/// Per-worker scratch for the ALS row solves: every buffer a row subproblem
-/// needs, allocated once per parallel block instead of once per row.
-struct RowScratch {
-    gram: Matrix,
-    chol: Matrix,
-    rhs: Vec<f64>,
-    z: Vec<f64>,
-}
-
-impl RowScratch {
-    fn new(rank: usize) -> Self {
-        Self {
-            gram: Matrix::zeros(rank, rank),
-            chol: Matrix::zeros(rank, rank),
-            rhs: vec![0.0; rank],
-            z: vec![0.0; rank],
-        }
-    }
-}
-
-/// Shared row finish: scale + ridge the accumulated normal equations,
-/// solve straight into the factor row, and (for the fused last mode)
+/// Shared row finish: solve the accumulated normal equations straight into
+/// the factor row ([`RowSystem::solve_into`]) and, for the fused last mode,
 /// recover the row's data loss algebraically. Bitwise-shared by the
 /// streamed and reference sweeps so they can only diverge in how `z` is
 /// produced.
 #[inline]
 fn finish_row(
-    s: &mut RowScratch,
+    s: &mut RowSystem,
     n_entries: usize,
-    rank: usize,
-    config: &AlsConfig,
+    lambda: f64,
     row: &mut [f64],
     fused: bool,
     t2: f64,
 ) -> f64 {
-    // The paper's row objective: the data term scaled by `1/|Ω_i|`.
-    let scale = 1.0 / n_entries as f64;
-    s.gram.scale_mut(scale);
-    for r in &mut s.rhs {
-        *r *= scale;
-    }
-    for a in 0..rank {
-        s.gram[(a, a)] += config.lambda;
-    }
-    // Solve straight into the factor row.
-    solve_spd_jittered_into(&s.gram, &s.rhs, &mut s.chol, row);
+    let scale = s.solve_into(n_entries, lambda, row);
     if !fused {
         return 0.0;
     }
@@ -201,8 +151,8 @@ fn finish_row(
         s.gram.as_slice(),
         &s.rhs,
         row,
-        rank,
-        config.lambda,
+        s.rhs.len(),
+        lambda,
         scale,
         t2,
     )
@@ -211,16 +161,15 @@ fn finish_row(
 /// One streamed mode update: solve all row subproblems of `mode` in
 /// parallel, writing new rows directly into the factor. The row loop walks
 /// the mode's packed stream (contiguous foreign indices + values) and
-/// gathers each `z` from the frozen factors through the
-/// rank-monomorphized kernels. Returns the post-update data loss
-/// `Σ (t̂ - t)²` over the mode's entries when `fused` (the last mode of a
-/// sweep), else 0.
+/// gathers each `z` from the frozen factors into the shared row kernel.
+/// Returns the post-update data loss `Σ (t̂ - t)²` over the mode's entries
+/// when `fused` (the last mode of a sweep), else 0.
 fn update_mode_streamed(
     cp: &mut CpDecomp,
     stream: &ModeStream,
     mode: usize,
     rank: usize,
-    config: &AlsConfig,
+    lambda: f64,
     fused: bool,
 ) -> f64 {
     // Borrow-split: move the free factor out, restore afterwards; the
@@ -236,7 +185,7 @@ fn update_mode_streamed(
         .par_chunks_mut(rank)
         .enumerate()
         .map_init(
-            || RowScratch::new(rank),
+            || RowSystem::new(rank),
             |s, (i, row)| {
                 let rng = stream.row_range(i);
                 if rng.is_empty() {
@@ -249,16 +198,24 @@ fn update_mode_streamed(
                     row.fill(0.0);
                     return 0.0;
                 }
-                let t2 = accumulate_normal_equations_streamed(
-                    src,
-                    stream.row_foreign(i),
-                    &vals[rng.clone()],
-                    rank,
+                let row_vals = &vals[rng];
+                let mut t2 = 0.0;
+                accumulate(
+                    Gathered {
+                        src,
+                        foreign: stream.row_foreign(i),
+                    },
+                    row_vals.len(),
+                    |k, _| {
+                        let t = row_vals[k];
+                        t2 += t * t;
+                        Some((t, 1.0))
+                    },
                     s.gram.as_mut_slice(),
                     &mut s.rhs,
                     &mut s.z,
                 );
-                finish_row(s, rng.len(), rank, config, row, fused, t2)
+                finish_row(s, row_vals.len(), lambda, row, fused, t2)
             },
         )
         .collect();
@@ -312,7 +269,7 @@ fn update_mode_reference(
     mode: usize,
     mi: &ModeIndex,
     rank: usize,
-    config: &AlsConfig,
+    lambda: f64,
     fused: bool,
 ) -> f64 {
     let mut factor = cp.take_factor(mode);
@@ -323,7 +280,7 @@ fn update_mode_reference(
         .par_chunks_mut(rank)
         .enumerate()
         .map_init(
-            || RowScratch::new(rank),
+            || RowSystem::new(rank),
             |s, (i, row)| {
                 let entries = mi.row(i);
                 if entries.is_empty() {
@@ -339,7 +296,7 @@ fn update_mode_reference(
                     &mut s.rhs,
                     &mut s.z,
                 );
-                finish_row(s, entries.len(), rank, config, row, fused, t2)
+                finish_row(s, entries.len(), lambda, row, fused, t2)
             },
         )
         .collect();
@@ -355,6 +312,7 @@ fn objective(cp: &CpDecomp, obs: &SparseTensor, lambda: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convergence::StopRule;
     use cpr_tensor::DenseTensor;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -377,12 +335,13 @@ mod tests {
         let truth = CpDecomp::random(&[6, 7, 5], 2, 0.5, 1.5, 3);
         let obs = SparseTensor::from_dense(&truth.to_dense());
         let mut model = CpDecomp::random(&[6, 7, 5], 2, 0.0, 1.0, 99);
-        let cfg = AlsConfig {
+        let cfg = CompletionSpec {
             lambda: 1e-10,
             stop: StopRule {
                 max_sweeps: 500,
                 tol: 1e-14,
             },
+            ..Default::default()
         };
         let trace = als(&mut model, &obs, &cfg);
         // ALS can plateau in "swamps" on exact-recovery problems; require a
@@ -401,12 +360,13 @@ mod tests {
         let truth = CpDecomp::random(&[8, 8, 8], 2, 0.5, 1.5, 17);
         let obs = sampled_obs(&truth, 0.5, 4);
         let mut model = CpDecomp::random(&[8, 8, 8], 2, 0.0, 1.0, 5);
-        let cfg = AlsConfig {
+        let cfg = CompletionSpec {
             lambda: 1e-9,
             stop: StopRule {
                 max_sweeps: 300,
                 tol: 1e-12,
             },
+            ..Default::default()
         };
         als(&mut model, &obs, &cfg);
         // Generalization: error on *all* entries, not just observed ones.
@@ -419,7 +379,7 @@ mod tests {
         let truth = CpDecomp::random(&[5, 6, 4], 3, 0.2, 1.0, 11);
         let obs = sampled_obs(&truth, 0.8, 12);
         let mut model = CpDecomp::random(&[5, 6, 4], 3, 0.0, 1.0, 13);
-        let trace = als(&mut model, &obs, &AlsConfig::default());
+        let trace = als(&mut model, &obs, &CompletionSpec::default());
         assert!(trace.is_monotone(1e-9), "trace {:?}", trace.objective);
     }
 
@@ -433,7 +393,7 @@ mod tests {
             }
         }
         let mut model = CpDecomp::random(&[5, 4], 2, 0.0, 1.0, 2);
-        let trace = als(&mut model, &obs, &AlsConfig::default());
+        let trace = als(&mut model, &obs, &CompletionSpec::default());
         assert!(trace.final_objective().is_finite());
         // Unobserved fiber collapses to the ridge minimizer: the zero row.
         assert!(model.factor(0).row(3).iter().all(|&v| v == 0.0));
@@ -446,12 +406,13 @@ mod tests {
         let dense = DenseTensor::from_fn(&[6, 5], |idx| ((idx[0] + 1) * (idx[1] + 2)) as f64);
         let obs = SparseTensor::from_dense(&dense);
         let mut model = CpDecomp::random(&[6, 5], 1, 0.5, 1.0, 21);
-        let cfg = AlsConfig {
+        let cfg = CompletionSpec {
             lambda: 1e-12,
             stop: StopRule {
                 max_sweeps: 200,
                 tol: 1e-14,
             },
+            ..Default::default()
         };
         als(&mut model, &obs, &cfg);
         assert!(model.rmse(&obs) < 1e-8, "rmse {}", model.rmse(&obs));
@@ -466,7 +427,7 @@ mod tests {
         als(
             &mut weak,
             &obs,
-            &AlsConfig {
+            &CompletionSpec {
                 lambda: 1e-8,
                 ..Default::default()
             },
@@ -474,7 +435,7 @@ mod tests {
         als(
             &mut strong,
             &obs,
-            &AlsConfig {
+            &CompletionSpec {
                 lambda: 10.0,
                 ..Default::default()
             },
@@ -488,12 +449,13 @@ mod tests {
         let truth = CpDecomp::random(&[4, 4, 4, 4], 2, 0.5, 1.2, 40);
         let obs = sampled_obs(&truth, 0.6, 41);
         let mut model = CpDecomp::random(&[4, 4, 4, 4], 2, 0.0, 1.0, 42);
-        let cfg = AlsConfig {
+        let cfg = CompletionSpec {
             lambda: 1e-9,
             stop: StopRule {
                 max_sweeps: 400,
                 tol: 1e-13,
             },
+            ..Default::default()
         };
         als(&mut model, &obs, &cfg);
         let full = SparseTensor::from_dense(&truth.to_dense());

@@ -22,8 +22,12 @@
 //!   H_φ_e = 2 (1 + r_e) / m_e² · z_e z_eᵀ      (clamped PSD when r_e < −1)
 //! ```
 
-use crate::convergence::{StopRule, Trace};
-use crate::sweep::{build_streams, fill_zcache, foreign_factors, z_source};
+use crate::convergence::Trace;
+use crate::optimizer::CompletionSpec;
+use crate::sweep::{
+    accumulate, accumulate_dyn, build_streams, fill_zcache, foreign_factors, z_source, Cached,
+    Gathered,
+};
 use cpr_tensor::linalg::solve_spd_jittered_into;
 use cpr_tensor::{CpDecomp, Matrix, ModeIndex, ModeStream, SparseTensor};
 use rayon::prelude::*;
@@ -41,28 +45,6 @@ const NEWTON_ITERS: usize = 40;
 const NEWTON_TOL: f64 = 1e-10;
 /// Extra full sweeps at the final (floor) barrier value.
 const FINAL_SWEEPS: usize = 4;
-
-/// AMN configuration; the barrier schedule and the Newton settings are the
-/// paper's §6.0.4 values, fixed as the constants above.
-#[derive(Debug, Clone, Copy)]
-pub struct AmnConfig {
-    /// Ridge regularization λ.
-    pub lambda: f64,
-    /// Stopping rule applied to the barrier-free objective across sweeps.
-    pub stop: StopRule,
-}
-
-impl Default for AmnConfig {
-    fn default() -> Self {
-        Self {
-            lambda: 1e-5,
-            stop: StopRule {
-                max_sweeps: 200,
-                tol: 1e-8,
-            },
-        }
-    }
-}
 
 /// MLogQ² data objective plus ridge term (barrier-free; used for traces).
 pub fn log_objective(cp: &CpDecomp, obs: &SparseTensor, lambda: f64) -> f64 {
@@ -113,15 +95,19 @@ fn check_amn_inputs(cp: &CpDecomp, obs: &SparseTensor) {
 /// Run AMN tensor completion under MLogQ² loss, updating `cp` in place.
 ///
 /// `cp` must start strictly positive (see [`init_positive`]); all observed
-/// values must be positive. The returned trace records the barrier-free
+/// values must be positive. `spec.lambda` is the ridge λ and `spec.stop`
+/// applies to the barrier-free objective across sweeps; the barrier
+/// schedule and the Newton settings are the paper's §6.0.4 values, fixed
+/// as the constants above. The returned trace records the barrier-free
 /// objective after each outer sweep.
 ///
 /// This is the **streamed** sweep (see [`crate::als::als`]): per-row
-/// `z`-caches are gathered directly from the foreign factor rows through
-/// rank-monomorphized kernels, and the pre-logged observations are read
-/// slot-contiguously from per-mode [`ModeStream`] layouts. The retained
-/// naive path [`amn_reference`] is pinned bitwise-equal by proptests.
-pub fn amn(cp: &mut CpDecomp, obs: &SparseTensor, config: &AmnConfig) -> Trace {
+/// `z`-caches are gathered directly from the foreign factor rows, the
+/// Newton systems accumulate in the shared row kernel of [`crate::sweep`],
+/// and the pre-logged observations are read slot-contiguously from
+/// per-mode [`ModeStream`] layouts. The retained naive path
+/// [`amn_reference`] is pinned bitwise-equal by proptests.
+pub fn amn(cp: &mut CpDecomp, obs: &SparseTensor, spec: &CompletionSpec) -> Trace {
     check_amn_inputs(cp, obs);
     let d = cp.order();
     let streams = build_streams(obs);
@@ -133,10 +119,10 @@ pub fn amn(cp: &mut CpDecomp, obs: &SparseTensor, config: &AmnConfig) -> Trace {
         .collect();
 
     let mut trace = Trace::default();
-    let mut prev = log_objective(cp, obs, config.lambda);
+    let mut prev = log_objective(cp, obs, spec.lambda);
     let mut eta = ETA0;
     let mut sweeps_at_floor = 0usize;
-    for _sweep in 0..config.stop.max_sweeps {
+    for _sweep in 0..spec.stop.max_sweeps {
         // The barrier-free data loss is fused into the last mode update
         // (see `als`): each observation's residual is evaluated right after
         // its final-mode row finishes its Newton solve, so no second
@@ -145,18 +131,18 @@ pub fn amn(cp: &mut CpDecomp, obs: &SparseTensor, config: &AmnConfig) -> Trace {
         let mut data_loss = 0.0;
         for (mode, stream) in streams.iter().enumerate() {
             let fused = mode + 1 == d;
-            let loss = update_mode_streamed(cp, stream, &logs[mode], mode, eta, config, fused);
+            let loss = update_mode_streamed(cp, stream, &logs[mode], mode, eta, spec.lambda, fused);
             if fused {
                 data_loss = loss;
             }
         }
         let reg: f64 = cp.factors().iter().map(|f| f.fro_norm_sq()).sum();
-        let g = data_loss + config.lambda * reg;
+        let g = data_loss + spec.lambda * reg;
         trace.objective.push(g);
         let at_floor = eta <= ETA_FLOOR;
         if at_floor {
             sweeps_at_floor += 1;
-            if sweeps_at_floor >= FINAL_SWEEPS || config.stop.converged(prev, g) {
+            if sweeps_at_floor >= FINAL_SWEEPS || spec.stop.converged(prev, g) {
                 trace.converged = true;
                 break;
             }
@@ -173,32 +159,32 @@ pub fn amn(cp: &mut CpDecomp, obs: &SparseTensor, config: &AmnConfig) -> Trace {
 /// [`CpDecomp::leave_one_out_canonical`] through the [`ModeIndex`]
 /// inverted index. [`amn`] must match it bitwise (the `stream_equivalence`
 /// proptests).
-pub fn amn_reference(cp: &mut CpDecomp, obs: &SparseTensor, config: &AmnConfig) -> Trace {
+pub fn amn_reference(cp: &mut CpDecomp, obs: &SparseTensor, spec: &CompletionSpec) -> Trace {
     check_amn_inputs(cp, obs);
     let d = cp.order();
     let mode_indices: Vec<ModeIndex> = (0..d).map(|m| obs.mode_index(m)).collect();
     let log_t: Vec<f64> = obs.values().iter().map(|v| v.ln()).collect();
 
     let mut trace = Trace::default();
-    let mut prev = log_objective(cp, obs, config.lambda);
+    let mut prev = log_objective(cp, obs, spec.lambda);
     let mut eta = ETA0;
     let mut sweeps_at_floor = 0usize;
-    for _sweep in 0..config.stop.max_sweeps {
+    for _sweep in 0..spec.stop.max_sweeps {
         let mut data_loss = 0.0;
         for (mode, mi) in mode_indices.iter().enumerate() {
             let fused = mode + 1 == d;
-            let loss = update_mode_reference(cp, obs, &log_t, mode, mi, eta, config, fused);
+            let loss = update_mode_reference(cp, obs, &log_t, mode, mi, eta, spec.lambda, fused);
             if fused {
                 data_loss = loss;
             }
         }
         let reg: f64 = cp.factors().iter().map(|f| f.fro_norm_sq()).sum();
-        let g = data_loss + config.lambda * reg;
+        let g = data_loss + spec.lambda * reg;
         trace.objective.push(g);
         let at_floor = eta <= ETA_FLOOR;
         if at_floor {
             sweeps_at_floor += 1;
-            if sweeps_at_floor >= FINAL_SWEEPS || config.stop.converged(prev, g) {
+            if sweeps_at_floor >= FINAL_SWEEPS || spec.stop.converged(prev, g) {
                 trace.converged = true;
                 break;
             }
@@ -275,7 +261,7 @@ fn update_mode_streamed(
     logs: &[f64],
     mode: usize,
     eta: f64,
-    config: &AmnConfig,
+    lambda: f64,
     fused: bool,
 ) -> f64 {
     let rank = cp.rank();
@@ -295,9 +281,13 @@ fn update_mode_streamed(
                     return 0.0; // unobserved fiber: keep previous (positive) row
                 }
                 // Fill the z cache once: frozen factors are fixed all row.
-                fill_zcache(src, stream.row_foreign(i), rng.len(), rank, &mut s.zcache);
+                let gathered = Gathered {
+                    src,
+                    foreign: stream.row_foreign(i),
+                };
+                fill_zcache(gathered, rng.len(), rank, &mut s.zcache);
                 let row_logs = &logs[rng];
-                newton_row(s, row_logs, eta, config, u, false);
+                newton_row(s, row_logs, eta, lambda, u, false);
                 if !fused {
                     return 0.0;
                 }
@@ -319,7 +309,7 @@ fn update_mode_reference(
     mode: usize,
     mi: &ModeIndex,
     eta: f64,
-    config: &AmnConfig,
+    lambda: f64,
     fused: bool,
 ) -> f64 {
     let rank = cp.rank();
@@ -345,7 +335,7 @@ fn update_mode_reference(
                     s.logrow.push(log_t[e as usize]);
                 }
                 let logrow = std::mem::take(&mut s.logrow);
-                newton_row(s, &logrow, eta, config, u, true);
+                newton_row(s, &logrow, eta, lambda, u, true);
                 let loss = if fused {
                     fused_row_loss(&s.zcache, &logrow, rank, u)
                 } else {
@@ -382,39 +372,12 @@ fn row_objective(zcache: &[f64], logs: &[f64], eta: f64, lambda: f64, u: &[f64])
     loss * inv + lambda * ridge - eta * barrier
 }
 
-/// Accumulate the Newton system of one row iterate — gradient and
-/// PSD-clamped Hessian of the mean MLogQ² data term, full square — with
-/// the `z_e` vectors read from the row's cache. Returns `false` when the
-/// model value leaves the positive domain.
-///
-/// Rank-monomorphized like the ALS normal-equation kernels, with the same
-/// per-rank codegen shapes (registers at small ranks, indexed rows at 8,
-/// rolled row loop at 16 — see `sweep::accumulate_normal_equations_streamed`);
-/// every variant performs the identical per-element operation sequence, so
-/// the dispatch is bitwise invisible. The reference sweep calls
-/// [`acc_newton_generic`] directly, so the specification the streamed sweep
-/// is tested against never routes through the dispatch under test.
-fn accumulate_newton_system(
-    zcache: &[f64],
-    logs: &[f64],
-    u: &[f64],
-    inv: f64,
-    grad: &mut [f64],
-    hess: &mut [f64],
-) -> bool {
-    match u.len() {
-        2 => acc_newton_small::<2>(zcache, logs, u, inv, grad, hess),
-        4 => acc_newton_small::<4>(zcache, logs, u, inv, grad, hess),
-        8 => acc_newton_mid::<8>(zcache, logs, u, inv, grad, hess),
-        16 => acc_newton_wide::<16>(zcache, logs, u, inv, grad, hess),
-        _ => acc_newton_generic(zcache, logs, u, inv, grad, hess),
-    }
-}
-
-/// Shared per-entry scalar part: model value `m` → `(gcoef, hcoef)`, or
+/// Per-entry scalars of the Newton system of one row iterate — gradient
+/// and PSD-clamped Hessian of the mean MLogQ² data term — from the model
+/// value `m = zᵀu`: `(gcoef, hcoef)` for [`crate::sweep::accumulate`], or
 /// `None` outside the positive domain.
 #[inline(always)]
-fn newton_coeffs(m: f64, lt: f64, inv: f64) -> Option<(f64, f64)> {
+pub(crate) fn newton_coeffs(m: f64, lt: f64, inv: f64) -> Option<(f64, f64)> {
     if m <= 0.0 || !m.is_finite() {
         return None;
     }
@@ -426,136 +389,6 @@ fn newton_coeffs(m: f64, lt: f64, inv: f64) -> Option<(f64, f64)> {
     Some((gcoef, hcoef))
 }
 
-fn acc_newton_small<const R: usize>(
-    zcache: &[f64],
-    logs: &[f64],
-    u: &[f64],
-    inv: f64,
-    grad: &mut [f64],
-    hess: &mut [f64],
-) -> bool {
-    let mut g = [0.0f64; R];
-    let mut h = [[0.0f64; R]; R];
-    for (zc, &lt) in zcache.chunks_exact(R).zip(logs) {
-        let mut m = 0.0;
-        for r in 0..R {
-            m += zc[r] * u[r];
-        }
-        let Some((gcoef, hcoef)) = newton_coeffs(m, lt, inv) else {
-            return false;
-        };
-        for r in 0..R {
-            g[r] += gcoef * zc[r];
-        }
-        for a in 0..R {
-            let ha = hcoef * zc[a];
-            let row = &mut h[a];
-            for b in 0..R {
-                row[b] += ha * zc[b];
-            }
-        }
-    }
-    grad.copy_from_slice(&g);
-    for (hrow, h) in hess.chunks_exact_mut(R).zip(&h) {
-        hrow.copy_from_slice(h);
-    }
-    true
-}
-
-fn acc_newton_mid<const R: usize>(
-    zcache: &[f64],
-    logs: &[f64],
-    u: &[f64],
-    inv: f64,
-    grad: &mut [f64],
-    hess: &mut [f64],
-) -> bool {
-    grad.fill(0.0);
-    hess.fill(0.0);
-    for (zc, &lt) in zcache.chunks_exact(R).zip(logs) {
-        let mut m = 0.0;
-        for r in 0..R {
-            m += zc[r] * u[r];
-        }
-        let Some((gcoef, hcoef)) = newton_coeffs(m, lt, inv) else {
-            return false;
-        };
-        for r in 0..R {
-            grad[r] += gcoef * zc[r];
-        }
-        for a in 0..R {
-            let ha = hcoef * zc[a];
-            let row = &mut hess[a * R..(a + 1) * R];
-            for b in 0..R {
-                row[b] += ha * zc[b];
-            }
-        }
-    }
-    true
-}
-
-fn acc_newton_wide<const R: usize>(
-    zcache: &[f64],
-    logs: &[f64],
-    u: &[f64],
-    inv: f64,
-    grad: &mut [f64],
-    hess: &mut [f64],
-) -> bool {
-    grad.fill(0.0);
-    hess.fill(0.0);
-    // Runtime trip count keeps the row loop rolled (see the ALS kernels).
-    let rank = grad.len();
-    for (zc, &lt) in zcache.chunks_exact(R).zip(logs) {
-        let mut m = 0.0;
-        for r in 0..R {
-            m += zc[r] * u[r];
-        }
-        let Some((gcoef, hcoef)) = newton_coeffs(m, lt, inv) else {
-            return false;
-        };
-        for (g, &za) in grad.iter_mut().zip(zc) {
-            *g += gcoef * za;
-        }
-        for (hrow, &za) in hess.chunks_exact_mut(rank).zip(zc) {
-            let ha = hcoef * za;
-            for (h, &zb) in hrow.iter_mut().zip(zc) {
-                *h += ha * zb;
-            }
-        }
-    }
-    true
-}
-
-fn acc_newton_generic(
-    zcache: &[f64],
-    logs: &[f64],
-    u: &[f64],
-    inv: f64,
-    grad: &mut [f64],
-    hess: &mut [f64],
-) -> bool {
-    let rank = u.len();
-    grad.fill(0.0);
-    hess.fill(0.0);
-    for (zc, &lt) in zcache.chunks_exact(rank).zip(logs) {
-        let m: f64 = zc.iter().zip(u).map(|(a, b)| a * b).sum();
-        let Some((gcoef, hcoef)) = newton_coeffs(m, lt, inv) else {
-            return false;
-        };
-        for (g, &za) in grad.iter_mut().zip(zc) {
-            *g += gcoef * za;
-        }
-        for (hrow, &za) in hess.chunks_exact_mut(rank).zip(zc) {
-            let ha = hcoef * za;
-            for (h, &zb) in hrow.iter_mut().zip(zc) {
-                *h += ha * zb;
-            }
-        }
-    }
-    true
-}
-
 /// Damped Newton iterations on one row with fraction-to-boundary steps.
 /// `u` is the row slice of the factor being updated (mutated in place);
 /// every auxiliary buffer lives in the scratch.
@@ -563,7 +396,7 @@ fn newton_row(
     s: &mut NewtonScratch,
     logs: &[f64],
     eta: f64,
-    config: &AmnConfig,
+    lambda: f64,
     u: &mut [f64],
     reference: bool,
 ) {
@@ -576,10 +409,22 @@ fn newton_row(
     // reference path recomputes, staying a faithful PR 3 control.
     let mut carried_f0: Option<f64> = None;
     for _it in 0..NEWTON_ITERS {
+        // The gradient and Hessian of the data term: one weighted Gram
+        // system over the cached `z`. The reference sweep runs the
+        // dynamic-rank kernel, so it never routes through the rank
+        // dispatch the streamed sweep is tested on.
+        let zs = Cached(&s.zcache);
+        let coeffs = |k: usize, z: &[f64]| {
+            // `u` cut to `z`'s length, so a fixed-rank kernel's trip count
+            // is a constant.
+            let m: f64 = z.iter().zip(&u[..z.len()]).map(|(a, b)| a * b).sum();
+            newton_coeffs(m, logs[k], inv)
+        };
+        let (grad, hess) = (&mut s.grad, s.hess.as_mut_slice());
         let system_ok = if reference {
-            acc_newton_generic(&s.zcache, logs, u, inv, &mut s.grad, s.hess.as_mut_slice())
+            accumulate_dyn(zs, logs.len(), coeffs, hess, grad, &mut s.z)
         } else {
-            accumulate_newton_system(&s.zcache, logs, u, inv, &mut s.grad, s.hess.as_mut_slice())
+            accumulate(zs, logs.len(), coeffs, hess, grad, &mut s.z)
         };
         if !system_ok {
             // Outside the domain (shouldn't happen with positive iterates
@@ -588,8 +433,8 @@ fn newton_row(
         }
         // Ridge and barrier contributions.
         for (a, (&ua, g)) in u.iter().zip(s.grad.iter_mut()).enumerate() {
-            *g += 2.0 * config.lambda * ua - eta / ua;
-            s.hess[(a, a)] += 2.0 * config.lambda + eta / (ua * ua);
+            *g += 2.0 * lambda * ua - eta / ua;
+            s.hess[(a, a)] += 2.0 * lambda + eta / (ua * ua);
         }
         // Newton direction: H Δ = -grad.
         for (n, g) in s.neg_grad.iter_mut().zip(&s.grad) {
@@ -611,14 +456,14 @@ fn newton_row(
         // Backtracking line search for actual decrease.
         let f0 = match carried_f0 {
             Some(f) if !reference => f,
-            _ => row_objective(&s.zcache, logs, eta, config.lambda, u),
+            _ => row_objective(&s.zcache, logs, eta, lambda, u),
         };
         let mut accepted = false;
         for _ in 0..30 {
             for ((c, a), d) in s.cand.iter_mut().zip(&*u).zip(&s.delta) {
                 *c = a + alpha * d;
             }
-            let f1 = row_objective(&s.zcache, logs, eta, config.lambda, &s.cand);
+            let f1 = row_objective(&s.zcache, logs, eta, lambda, &s.cand);
             if f1 < f0 {
                 u.copy_from_slice(&s.cand);
                 carried_f0 = Some(f1);
@@ -639,9 +484,23 @@ fn newton_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convergence::StopRule;
     use cpr_tensor::DenseTensor;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// A fit at ridge `lambda` with the stop rule these tests were written
+    /// against: up to 200 sweeps, relative tolerance 1e-8.
+    fn spec(lambda: f64) -> CompletionSpec {
+        CompletionSpec {
+            lambda,
+            stop: StopRule {
+                max_sweeps: 200,
+                tol: 1e-8,
+            },
+            ..Default::default()
+        }
+    }
 
     fn geo_mean(values: &[f64]) -> f64 {
         (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
@@ -682,7 +541,7 @@ mod tests {
         let obs = positive_obs(&[5, 5, 4], 7);
         let gm = geo_mean(obs.values());
         let mut cp = init_positive(&[5, 5, 4], 2, gm, 8);
-        amn(&mut cp, &obs, &AmnConfig::default());
+        amn(&mut cp, &obs, &spec(1e-5));
         assert!(cp.is_strictly_positive(), "AMN broke positivity");
     }
 
@@ -691,14 +550,7 @@ mod tests {
         let obs = positive_obs(&[6, 5, 4], 9);
         let gm = geo_mean(obs.values());
         let mut cp = init_positive(&[6, 5, 4], 2, gm, 10);
-        let trace = amn(
-            &mut cp,
-            &obs,
-            &AmnConfig {
-                lambda: 1e-8,
-                ..Default::default()
-            },
-        );
+        let trace = amn(&mut cp, &obs, &spec(1e-8));
         // Mean log-squared error should be tiny for rank-2 on rank-1 data.
         let final_loss = trace.final_objective();
         assert!(final_loss < 1e-2 * obs.nnz() as f64, "loss {final_loss}");
@@ -717,7 +569,7 @@ mod tests {
         let gm = geo_mean(obs.values());
         let mut cp = init_positive(&[5, 4, 4], 2, gm, 14);
         let start = log_objective(&cp, &obs, 1e-5);
-        let trace = amn(&mut cp, &obs, &AmnConfig::default());
+        let trace = amn(&mut cp, &obs, &spec(1e-5));
         assert!(
             trace.final_objective() < start,
             "no decrease: {start} -> {}",
@@ -731,7 +583,7 @@ mod tests {
         let mut obs = SparseTensor::new(&[2, 2]);
         obs.push(&[0, 0], -1.0);
         let mut cp = init_positive(&[2, 2], 1, 1.0, 0);
-        amn(&mut cp, &obs, &AmnConfig::default());
+        amn(&mut cp, &obs, &spec(1e-5));
     }
 
     #[test]
@@ -742,7 +594,7 @@ mod tests {
         let mut cp = CpDecomp::random(&[2, 2], 1, -1.0, 1.0, 123);
         // Force at least one non-positive entry.
         cp.factor_mut(0)[(0, 0)] = -0.5;
-        amn(&mut cp, &obs, &AmnConfig::default());
+        amn(&mut cp, &obs, &spec(1e-5));
     }
 
     #[test]
@@ -754,7 +606,7 @@ mod tests {
         }
         // Rows 2, 3 of mode 0 unobserved.
         let mut cp = init_positive(&[4, 3], 2, 3.0, 15);
-        amn(&mut cp, &obs, &AmnConfig::default());
+        amn(&mut cp, &obs, &spec(1e-5));
         assert!(cp.is_strictly_positive());
         assert!(!cp.factor(0).has_non_finite());
     }
@@ -770,14 +622,7 @@ mod tests {
         let fit = |o: &SparseTensor, seed| {
             let gm = geo_mean(o.values());
             let mut cp = init_positive(&[5, 4], 2, gm, seed);
-            amn(
-                &mut cp,
-                o,
-                &AmnConfig {
-                    lambda: 1e-9,
-                    ..Default::default()
-                },
-            );
+            amn(&mut cp, o, &spec(1e-9));
             let mut total = 0.0;
             for (_, idx, t) in o.iter() {
                 total += (cp.eval_u32(idx) / t).ln().abs();

@@ -17,13 +17,16 @@
 //! All optimizers mutate a decomposition in place and return a
 //! [`convergence::Trace`] of per-sweep objectives.
 //!
+//! Every optimizer takes one [`CompletionSpec`] (ridge λ, stop rule).
+//!
 //! Every sweep optimizer runs **streamed**: packed per-mode observation
 //! layouts ([`cpr_tensor::ModeStream`]), leave-one-out vectors gathered
 //! directly from the foreign factor rows in the canonical fold order, and
-//! rank-monomorphized normal-equation kernels (see [`sweep`]). Each keeps a
-//! retained naive reference path (`als_reference`, `amn_reference`,
-//! `tucker_als_reference`) that the streamed path is pinned bitwise-equal
-//! to by proptests.
+//! one rank-monomorphized row kernel that accumulates the ALS and
+//! Tucker-ALS normal equations and the AMN Newton systems alike (see
+//! [`sweep`]). Each keeps a retained naive reference path
+//! (`als_reference`, `amn_reference`, `tucker_als_reference`) that the
+//! streamed path is pinned bitwise-equal to by proptests.
 
 pub mod als;
 pub mod amn;
@@ -32,9 +35,9 @@ pub mod optimizer;
 pub mod sweep;
 pub mod tucker_als;
 
-pub use als::{als, als_reference, als_with_streams, AlsConfig};
-pub use amn::{amn, amn_reference, init_positive, log_objective, AmnConfig};
+pub use als::{als, als_reference, als_with_streams};
+pub use amn::{amn, amn_reference, init_positive, log_objective};
 pub use convergence::{StopRule, Trace};
 pub use optimizer::{complete, CompletionSpec, Optimizer};
 pub use sweep::build_streams;
-pub use tucker_als::{tucker_als, tucker_als_reference, tucker_objective, TuckerConfig};
+pub use tucker_als::{tucker_als, tucker_als_reference, tucker_objective};

@@ -4,18 +4,17 @@
 //! same Eq. 3 objective; CPR fits with two of them, ALS under log-least
 //! squares (§5.2) and AMN under MLogQ² (§5.3), and Tucker-ALS runs the same
 //! alternating scheme over the Tucker model class. This module makes that
-//! interchangeability concrete: an [`Optimizer`] tag, the shared
-//! [`CompletionSpec`] configuration every optimizer understands (ridge
-//! strength, stop rule), and one [`complete`] entry point that dispatches a
+//! interchangeability concrete: an [`Optimizer`] tag, the one
+//! [`CompletionSpec`] configuration every optimizer takes (ridge strength,
+//! stop rule), and one [`complete`] entry point that dispatches a
 //! [`Decomposition`] through the matching **streamed** sweep
-//! implementation. Optimizer-specific knobs (AMN's barrier schedule, ALS's
-//! count scaling) keep their per-optimizer defaults; callers needing them
-//! still reach the concrete `als`/`amn`/`tucker_als` functions directly.
+//! implementation. AMN's barrier schedule and Newton settings are
+//! constants of its module.
 
-use crate::als::{als, AlsConfig};
-use crate::amn::{amn, AmnConfig};
+use crate::als::als;
+use crate::amn::amn;
 use crate::convergence::{StopRule, Trace};
-use crate::tucker_als::{tucker_als, TuckerConfig};
+use crate::tucker_als::tucker_als;
 use cpr_tensor::{Decomposition, SparseTensor};
 
 /// Which §4.2 optimization method fits the completion problem.
@@ -56,8 +55,8 @@ impl Optimizer {
     }
 }
 
-/// The optimizer-independent slice of a fit configuration: what every §4.2
-/// method understands. Optimizer-specific knobs stay at their defaults.
+/// The configuration of a fit, shared by every §4.2 method (`als`, `amn`,
+/// `tucker_als` and [`complete`] all take it).
 #[derive(Debug, Clone, Copy)]
 pub struct CompletionSpec {
     /// Ridge regularization λ.
@@ -94,30 +93,9 @@ pub fn complete(
     spec: &CompletionSpec,
 ) -> Trace {
     match (optimizer, decomp) {
-        (Optimizer::Als, Decomposition::Cp(cp)) => als(
-            cp,
-            obs,
-            &AlsConfig {
-                lambda: spec.lambda,
-                stop: spec.stop,
-            },
-        ),
-        (Optimizer::Amn, Decomposition::Cp(cp)) => amn(
-            cp,
-            obs,
-            &AmnConfig {
-                lambda: spec.lambda,
-                stop: spec.stop,
-            },
-        ),
-        (Optimizer::TuckerAls, Decomposition::Tucker(t)) => tucker_als(
-            t,
-            obs,
-            &TuckerConfig {
-                lambda: spec.lambda,
-                stop: spec.stop,
-            },
-        ),
+        (Optimizer::Als, Decomposition::Cp(cp)) => als(cp, obs, spec),
+        (Optimizer::Amn, Decomposition::Cp(cp)) => amn(cp, obs, spec),
+        (Optimizer::TuckerAls, Decomposition::Tucker(t)) => tucker_als(t, obs, spec),
         (opt, d) => panic!(
             "complete: optimizer {} does not fit a {} decomposition",
             opt.name(),

@@ -1,6 +1,6 @@
 //! Streamed sweep infrastructure shared by the completion optimizers:
-//! per-mode observation streams, leave-one-out `z` sourcing, and the
-//! rank-monomorphized normal-equation kernels.
+//! per-mode observation streams, leave-one-out `z` sourcing, and the one
+//! row kernel every optimizer's row subproblem runs.
 //!
 //! This is the fit-side analog of the serving layer's compiled query path:
 //! instead of chasing `entries[e] → indices[e*d..] → factor rows` per
@@ -11,16 +11,22 @@
 //! [`CpDecomp::leave_one_out_canonical`], so every `z` is the canonical one
 //! bit-for-bit at every order.
 //!
-//! The ranks the paper sweeps cluster at small powers of two, so the
-//! hottest kernels — the `gram += z zᵀ` / `rhs += t z` rank-1 updates and
-//! the `z`-cache fills — are monomorphized for `R ∈ {2, 4, 8, 16}` with
-//! fixed-size-array accumulators whose loops fully unroll, falling back to
-//! a generic dynamic-rank path otherwise. Every monomorphized kernel
-//! performs the exact per-element operation sequence of its generic
-//! counterpart, so the dispatch is bitwise invisible — the determinism
-//! contract the streamed-vs-reference proptests pin.
+//! Every optimizer solves the same Eq. 3 row subproblem by accumulating one
+//! weighted Gram system over the row's observations: ALS the normal
+//! equations `Σ z zᵀ`, `Σ t·z`; AMN the Newton system `Σ h·z zᵀ`, `Σ g·z`;
+//! Tucker-ALS the normal equations over core-contracted `z`. One kernel,
+//! `accumulate`, builds all three: it takes where each slot's `z` comes
+//! from (`Gathered` or `Cached`) and a per-slot coefficient pair. The
+//! ranks the paper sweeps cluster at small powers of two, so the kernel —
+//! like the `z`-cache fill — is monomorphized for `R ∈ {2, 4, 8, 16}` with
+//! fixed-size-array loops that fully unroll, falling back to a
+//! dynamic-rank path otherwise. Every fixed shape performs the exact
+//! per-element operation sequence of the dynamic one, so the dispatch is
+//! bitwise invisible — the determinism contract the streamed-vs-reference
+//! proptests pin.
 
-use cpr_tensor::{CpDecomp, ModeStream, SparseTensor};
+use cpr_tensor::linalg::solve_spd_jittered_into;
+use cpr_tensor::{CpDecomp, Matrix, ModeStream, SparseTensor};
 
 /// Build the per-mode observation streams of a fit (one counting-sort pass
 /// per mode; shared by ALS/AMN/Tucker-ALS and cached across streaming
@@ -73,441 +79,219 @@ pub(crate) fn z_source<'a>(foreign: &'a [&'a [f64]], mode: usize) -> ZSource<'a>
     }
 }
 
-/// Load one observation's `z` into a fixed-size array. `k` is the slot
-/// index within the row (indexes `foreign`).
-#[inline(always)]
-fn load_z<const R: usize>(src: &ZSource<'_>, foreign: &[u32], k: usize) -> [f64; R] {
-    let mut z = [1.0f64; R];
-    match *src {
-        ZSource::Ones => {}
-        ZSource::One(f0) => {
-            let i0 = foreign[k] as usize;
-            z.copy_from_slice(&f0[i0 * R..(i0 + 1) * R]);
-        }
-        ZSource::Two(f0, f1) => {
-            let i0 = foreign[2 * k] as usize;
-            let i1 = foreign[2 * k + 1] as usize;
-            // Plain range-indexed slices on purpose — the array-conversion
-            // form (`try_into`) nudges LLVM into the SLP shuffle pattern
-            // (see the kernel-shape notes on the dispatch below).
-            let r0 = &f0[i0 * R..(i0 + 1) * R];
-            let r1 = &f1[i1 * R..(i1 + 1) * R];
-            for r in 0..R {
-                z[r] = r0[r] * r1[r];
-            }
-        }
-        ZSource::Fold(factors, split) => {
-            let fd = factors.len();
-            let idx = &foreign[k * fd..(k + 1) * fd];
-            let row = |j: usize| {
-                let i = idx[j] as usize;
-                &factors[j][i * R..(i + 1) * R]
-            };
-            let mut s = [1.0f64; R];
-            for j in (split..fd).rev() {
-                let u = row(j);
-                for r in 0..R {
-                    s[r] *= u[r];
-                }
-            }
-            if split == 0 {
-                return s;
-            }
-            for j in 0..split {
-                let u = row(j);
-                for r in 0..R {
-                    z[r] *= u[r];
-                }
-            }
-            if split < fd {
-                for r in 0..R {
-                    z[r] *= s[r];
-                }
-            }
-        }
-    }
-    z
+/// Where slot `k`'s `z` comes from in [`accumulate`] and [`fill_zcache`]:
+/// gathered from the foreign factor rows ([`Gathered`]) or read from a
+/// materialized row cache ([`Cached`]).
+pub(crate) trait SlotZ {
+    /// Slot `k`'s `z` at a compile-time rank.
+    fn fixed<const R: usize>(&self, k: usize) -> [f64; R];
+    /// Slot `k`'s `z` at the run-time rank `z.len()`: written into `z`, or
+    /// borrowed from the source. Bitwise equal to [`SlotZ::fixed`] per
+    /// element.
+    fn dynamic<'s>(&'s self, k: usize, z: &'s mut [f64]) -> &'s [f64];
 }
 
-/// Dynamic-rank counterpart of [`load_z`] (generic fallback), bitwise
-/// identical per element.
-#[inline]
-fn load_z_generic(src: &ZSource<'_>, foreign: &[u32], k: usize, rank: usize, z: &mut [f64]) {
-    match *src {
-        ZSource::Ones => z.fill(1.0),
-        ZSource::One(f0) => {
-            let i0 = foreign[k] as usize;
-            z.copy_from_slice(&f0[i0 * rank..(i0 + 1) * rank]);
-        }
-        ZSource::Two(f0, f1) => {
-            let i0 = foreign[2 * k] as usize;
-            let i1 = foreign[2 * k + 1] as usize;
-            let r0 = &f0[i0 * rank..(i0 + 1) * rank];
-            let r1 = &f1[i1 * rank..(i1 + 1) * rank];
-            for ((o, &a), &b) in z.iter_mut().zip(r0).zip(r1) {
-                *o = a * b;
+/// `z` gathered through a [`ZSource`] from the foreign factor rows a row's
+/// stream slots name (`foreign` is the row's slot slice of a
+/// [`ModeStream`]).
+#[derive(Clone, Copy)]
+pub(crate) struct Gathered<'a> {
+    pub src: ZSource<'a>,
+    pub foreign: &'a [u32],
+}
+
+impl SlotZ for Gathered<'_> {
+    #[inline(always)]
+    fn fixed<const R: usize>(&self, k: usize) -> [f64; R] {
+        let foreign = self.foreign;
+        let mut z = [1.0f64; R];
+        match self.src {
+            ZSource::Ones => {}
+            ZSource::One(f0) => {
+                let i0 = foreign[k] as usize;
+                z.copy_from_slice(&f0[i0 * R..(i0 + 1) * R]);
             }
-        }
-        ZSource::Fold(factors, split) => {
-            // Element-major so no second rank-wide buffer is needed: each
-            // element's fold is independent, so the per-element operation
-            // sequence is the fixed-rank one.
-            let fd = factors.len();
-            let idx = &foreign[k * fd..(k + 1) * fd];
-            for (r, o) in z.iter_mut().enumerate() {
-                let at = |j: usize| factors[j][idx[j] as usize * rank + r];
-                let mut s = 1.0f64;
+            ZSource::Two(f0, f1) => {
+                let i0 = foreign[2 * k] as usize;
+                let i1 = foreign[2 * k + 1] as usize;
+                // Plain range-indexed slices on purpose — the
+                // array-conversion form (`try_into`) nudges LLVM into the
+                // SLP shuffle pattern (see the kernel-shape notes on
+                // `accumulate`).
+                let r0 = &f0[i0 * R..(i0 + 1) * R];
+                let r1 = &f1[i1 * R..(i1 + 1) * R];
+                for r in 0..R {
+                    z[r] = r0[r] * r1[r];
+                }
+            }
+            ZSource::Fold(factors, split) => {
+                let fd = factors.len();
+                let idx = &foreign[k * fd..(k + 1) * fd];
+                let row = |j: usize| {
+                    let i = idx[j] as usize;
+                    &factors[j][i * R..(i + 1) * R]
+                };
+                let mut s = [1.0f64; R];
                 for j in (split..fd).rev() {
-                    s *= at(j);
+                    let u = row(j);
+                    for r in 0..R {
+                        s[r] *= u[r];
+                    }
                 }
                 if split == 0 {
-                    *o = s;
-                    continue;
+                    return s;
                 }
-                let mut p = 1.0f64;
                 for j in 0..split {
-                    p *= at(j);
+                    let u = row(j);
+                    for r in 0..R {
+                        z[r] *= u[r];
+                    }
                 }
-                *o = if split < fd { p * s } else { p };
-            }
-        }
-    }
-}
-
-/// Accumulate one row's normal equations straight from the `z` source:
-/// `gram += Σ z_e z_eᵀ` (full square), `rhs += Σ t_e z_e`; returns
-/// `Σ t_e²`. `foreign`/`values` are the row's slot slices of a
-/// [`ModeStream`]; rank-monomorphized dispatch with a generic fallback
-/// (`z_scratch` is only touched by the fallback).
-/// The per-rank kernel shapes below look interchangeable but compile very
-/// differently (measured on the bench scales, `target-cpu=native`):
-///
-/// * `R ≤ 4` — `acc_ne_small`: gram lives in nested stack arrays the whole
-///   row; LLVM keeps the full accumulator in registers (~8x the iterator
-///   shape at rank 4).
-/// * `R = 8` — `acc_ne_mid`: range-indexed slice rows. The
-///   `chunks_exact_mut` + array-conversion shape triggers an SLP
-///   shuffle-storm (`vpermt2pd` chains) that runs at scalar speed; plain
-///   indexed loops get the clean broadcast-multiply-add pattern (~2.4x).
-/// * `R = 16` — `acc_ne_wide`: the row loop must stay *rolled* (runtime
-///   trip count via `rhs.len()`), otherwise full unrolling re-triggers the
-///   SLP explosion (~4x).
-///
-/// All shapes perform the identical per-element operation sequence, so
-/// they are bitwise interchangeable — which one runs is purely a codegen
-/// choice, pinned by `monomorphized_kernels_bitwise_match_generic`.
-pub(crate) fn accumulate_normal_equations_streamed(
-    src: ZSource<'_>,
-    foreign: &[u32],
-    values: &[f64],
-    rank: usize,
-    gram: &mut [f64],
-    rhs: &mut [f64],
-    z_scratch: &mut [f64],
-) -> f64 {
-    match rank {
-        2 => acc_ne_small::<2>(&src, foreign, values, gram, rhs),
-        4 => acc_ne_small::<4>(&src, foreign, values, gram, rhs),
-        8 => match src {
-            // The hot production configuration (order-3 grids at rank 8):
-            // a dedicated two-entry-unrolled kernel that halves the gram
-            // row traffic.
-            ZSource::Two(f0, f1) => acc_two_mid2::<8>(f0, f1, foreign, values, gram, rhs),
-            _ => acc_ne_mid::<8>(&src, foreign, values, gram, rhs),
-        },
-        16 => acc_ne_wide::<16>(&src, foreign, values, gram, rhs),
-        _ => acc_ne_generic(&src, foreign, values, rank, gram, rhs, z_scratch),
-    }
-}
-
-/// Order-3 specialization of the mid-rank kernel, two entries per
-/// iteration: each gram row is loaded and stored once per *pair* of
-/// observations (`row[b] + za0·z0[b] + za1·z1[b]`, left-associated — the
-/// bitwise-identical composition of the two sequential `+=` updates), which
-/// halves the dominant load/store chain on the accumulator.
-#[inline]
-fn acc_two_mid2<const R: usize>(
-    f0: &[f64],
-    f1: &[f64],
-    foreign: &[u32],
-    values: &[f64],
-    gram: &mut [f64],
-    rhs: &mut [f64],
-) -> f64 {
-    gram.fill(0.0);
-    rhs.fill(0.0);
-    let mut t2 = 0.0;
-    let n = values.len();
-    let mut k = 0usize;
-    while k + 1 < n {
-        let (t0, t1) = (values[k], values[k + 1]);
-        let mut z0 = [0.0f64; R];
-        let mut z1 = [0.0f64; R];
-        {
-            let i0 = foreign[2 * k] as usize;
-            let i1 = foreign[2 * k + 1] as usize;
-            let r0 = &f0[i0 * R..(i0 + 1) * R];
-            let r1 = &f1[i1 * R..(i1 + 1) * R];
-            for r in 0..R {
-                z0[r] = r0[r] * r1[r];
-            }
-            let j0 = foreign[2 * k + 2] as usize;
-            let j1 = foreign[2 * k + 3] as usize;
-            let s0 = &f0[j0 * R..(j0 + 1) * R];
-            let s1 = &f1[j1 * R..(j1 + 1) * R];
-            for r in 0..R {
-                z1[r] = s0[r] * s1[r];
-            }
-        }
-        t2 += t0 * t0;
-        t2 += t1 * t1;
-        for r in 0..R {
-            rhs[r] = rhs[r] + t0 * z0[r] + t1 * z1[r];
-        }
-        for a in 0..R {
-            let za0 = z0[a];
-            let za1 = z1[a];
-            let row = &mut gram[a * R..(a + 1) * R];
-            for b in 0..R {
-                row[b] = row[b] + za0 * z0[b] + za1 * z1[b];
-            }
-        }
-        k += 2;
-    }
-    if k < n {
-        let t = values[k];
-        let i0 = foreign[2 * k] as usize;
-        let i1 = foreign[2 * k + 1] as usize;
-        let r0 = &f0[i0 * R..(i0 + 1) * R];
-        let r1 = &f1[i1 * R..(i1 + 1) * R];
-        let mut z = [0.0f64; R];
-        for r in 0..R {
-            z[r] = r0[r] * r1[r];
-        }
-        t2 += t * t;
-        for r in 0..R {
-            rhs[r] += t * z[r];
-        }
-        for a in 0..R {
-            let za = z[a];
-            let row = &mut gram[a * R..(a + 1) * R];
-            for b in 0..R {
-                row[b] += za * z[b];
-            }
-        }
-    }
-    t2
-}
-
-#[inline]
-fn acc_ne_small<const R: usize>(
-    src: &ZSource<'_>,
-    foreign: &[u32],
-    values: &[f64],
-    gram: &mut [f64],
-    rhs: &mut [f64],
-) -> f64 {
-    let mut g = [[0.0f64; R]; R];
-    let mut rh = [0.0f64; R];
-    let mut t2 = 0.0;
-    for (k, &t) in values.iter().enumerate() {
-        let z = load_z::<R>(src, foreign, k);
-        t2 += t * t;
-        for r in 0..R {
-            rh[r] += t * z[r];
-        }
-        for a in 0..R {
-            let za = z[a];
-            let row = &mut g[a];
-            for b in 0..R {
-                row[b] += za * z[b];
-            }
-        }
-    }
-    for (grow, g) in gram.chunks_exact_mut(R).zip(&g) {
-        grow.copy_from_slice(g);
-    }
-    rhs.copy_from_slice(&rh);
-    t2
-}
-
-#[inline]
-fn acc_ne_mid<const R: usize>(
-    src: &ZSource<'_>,
-    foreign: &[u32],
-    values: &[f64],
-    gram: &mut [f64],
-    rhs: &mut [f64],
-) -> f64 {
-    gram.fill(0.0);
-    rhs.fill(0.0);
-    let mut t2 = 0.0;
-    for (k, &t) in values.iter().enumerate() {
-        let z = load_z::<R>(src, foreign, k);
-        t2 += t * t;
-        for r in 0..R {
-            rhs[r] += t * z[r];
-        }
-        for a in 0..R {
-            let za = z[a];
-            let row = &mut gram[a * R..(a + 1) * R];
-            for b in 0..R {
-                row[b] += za * z[b];
-            }
-        }
-    }
-    t2
-}
-
-#[inline]
-fn acc_ne_wide<const R: usize>(
-    src: &ZSource<'_>,
-    foreign: &[u32],
-    values: &[f64],
-    gram: &mut [f64],
-    rhs: &mut [f64],
-) -> f64 {
-    gram.fill(0.0);
-    rhs.fill(0.0);
-    // Runtime trip count on purpose: keeps the row loop rolled (see the
-    // dispatch docs).
-    let rank = rhs.len();
-    let mut t2 = 0.0;
-    for (k, &t) in values.iter().enumerate() {
-        let z = load_z::<R>(src, foreign, k);
-        t2 += t * t;
-        for (r, &za) in rhs.iter_mut().zip(&z) {
-            *r += t * za;
-        }
-        for (grow, &za) in gram.chunks_exact_mut(rank).zip(&z) {
-            for (g, &zb) in grow.iter_mut().zip(&z) {
-                *g += za * zb;
-            }
-        }
-    }
-    t2
-}
-
-fn acc_ne_generic(
-    src: &ZSource<'_>,
-    foreign: &[u32],
-    values: &[f64],
-    rank: usize,
-    gram: &mut [f64],
-    rhs: &mut [f64],
-    z: &mut [f64],
-) -> f64 {
-    gram.fill(0.0);
-    rhs.fill(0.0);
-    let mut t2 = 0.0;
-    for (k, &t) in values.iter().enumerate() {
-        load_z_generic(src, foreign, k, rank, z);
-        t2 += t * t;
-        for (r, &za) in rhs.iter_mut().zip(&*z) {
-            *r += t * za;
-        }
-        for (grow, &za) in gram.chunks_exact_mut(rank).zip(&*z) {
-            for (g, &zb) in grow.iter_mut().zip(&*z) {
-                *g += za * zb;
-            }
-        }
-    }
-    t2
-}
-
-/// Fill a row's `z`-cache (`len * rank` contiguous, one `z` per slot of
-/// the row) from the `z` source — what AMN's Newton iterations re-read all
-/// row. Rank-monomorphized like the normal-equation kernel.
-pub(crate) fn fill_zcache(
-    src: ZSource<'_>,
-    foreign: &[u32],
-    len: usize,
-    rank: usize,
-    zcache: &mut Vec<f64>,
-) {
-    zcache.clear();
-    zcache.reserve(len * rank);
-    match rank {
-        2 => fill_zcache_fixed::<2>(&src, foreign, len, zcache),
-        4 => fill_zcache_fixed::<4>(&src, foreign, len, zcache),
-        8 => fill_zcache_fixed::<8>(&src, foreign, len, zcache),
-        16 => fill_zcache_fixed::<16>(&src, foreign, len, zcache),
-        _ => {
-            for k in 0..len {
-                let start = zcache.len();
-                zcache.resize(start + rank, 0.0);
-                load_z_generic(&src, foreign, k, rank, &mut zcache[start..]);
-            }
-        }
-    }
-}
-
-#[inline]
-fn fill_zcache_fixed<const R: usize>(
-    src: &ZSource<'_>,
-    foreign: &[u32],
-    len: usize,
-    zcache: &mut Vec<f64>,
-) {
-    for k in 0..len {
-        let z = load_z::<R>(src, foreign, k);
-        zcache.extend_from_slice(&z);
-    }
-}
-
-/// Accumulate one row's normal equations from an already-materialized
-/// design cache (`zcache`: `values.len() * rank` contiguous rows) — the
-/// Tucker factor path, whose design vectors come from a core contraction
-/// rather than a Hadamard product of factor rows. Same per-element operation sequence as
-/// the streamed kernel.
-pub(crate) fn accumulate_normal_equations_cached(
-    zcache: &[f64],
-    values: &[f64],
-    rank: usize,
-    gram: &mut [f64],
-    rhs: &mut [f64],
-) {
-    match rank {
-        2 => acc_cached_small::<2>(zcache, values, gram, rhs),
-        4 => acc_cached_small::<4>(zcache, values, gram, rhs),
-        8 => acc_cached_mid::<8>(zcache, values, gram, rhs),
-        16 => acc_cached_wide::<16>(zcache, values, gram, rhs),
-        _ => {
-            gram.fill(0.0);
-            rhs.fill(0.0);
-            for (zc, &t) in zcache.chunks_exact(rank).zip(values) {
-                for (r, &za) in rhs.iter_mut().zip(zc) {
-                    *r += t * za;
-                }
-                for (grow, &za) in gram.chunks_exact_mut(rank).zip(zc) {
-                    for (g, &zb) in grow.iter_mut().zip(zc) {
-                        *g += za * zb;
+                if split < fd {
+                    for r in 0..R {
+                        z[r] *= s[r];
                     }
                 }
             }
         }
+        z
+    }
+
+    #[inline]
+    fn dynamic<'s>(&'s self, k: usize, z: &'s mut [f64]) -> &'s [f64] {
+        let (foreign, rank) = (self.foreign, z.len());
+        match self.src {
+            ZSource::Ones => z.fill(1.0),
+            ZSource::One(f0) => {
+                let i0 = foreign[k] as usize;
+                z.copy_from_slice(&f0[i0 * rank..(i0 + 1) * rank]);
+            }
+            ZSource::Two(f0, f1) => {
+                let i0 = foreign[2 * k] as usize;
+                let i1 = foreign[2 * k + 1] as usize;
+                let r0 = &f0[i0 * rank..(i0 + 1) * rank];
+                let r1 = &f1[i1 * rank..(i1 + 1) * rank];
+                for ((o, &a), &b) in z.iter_mut().zip(r0).zip(r1) {
+                    *o = a * b;
+                }
+            }
+            ZSource::Fold(factors, split) => {
+                // Element-major so no second rank-wide buffer is needed:
+                // each element's fold is independent, so the per-element
+                // operation sequence is the fixed-rank one.
+                let fd = factors.len();
+                let idx = &foreign[k * fd..(k + 1) * fd];
+                for (r, o) in z.iter_mut().enumerate() {
+                    let at = |j: usize| factors[j][idx[j] as usize * rank + r];
+                    let mut s = 1.0f64;
+                    for j in (split..fd).rev() {
+                        s *= at(j);
+                    }
+                    if split == 0 {
+                        *o = s;
+                        continue;
+                    }
+                    let mut p = 1.0f64;
+                    for j in 0..split {
+                        p *= at(j);
+                    }
+                    *o = if split < fd { p * s } else { p };
+                }
+            }
+        }
+        z
+    }
+}
+
+/// `z` read from a materialized row cache: one `z` per slot, contiguous
+/// (AMN's `z`-cache, Tucker's core-contracted design vectors).
+#[derive(Clone, Copy)]
+pub(crate) struct Cached<'a>(pub &'a [f64]);
+
+impl SlotZ for Cached<'_> {
+    #[inline(always)]
+    fn fixed<const R: usize>(&self, k: usize) -> [f64; R] {
+        let mut z = [0.0f64; R];
+        z.copy_from_slice(&self.0[k * R..(k + 1) * R]);
+        z
+    }
+
+    #[inline]
+    fn dynamic<'s>(&'s self, k: usize, z: &'s mut [f64]) -> &'s [f64] {
+        let rank = z.len();
+        &self.0[k * rank..(k + 1) * rank]
+    }
+}
+
+/// Accumulate one row's weighted Gram system over its `n` slots — the
+/// Eq. 3 row subproblem every optimizer solves. For slot `k`, with `z`
+/// from `zs` and `(a, c) = coeffs(k, z)`: `rhs += a·z` and
+/// `gram += (c·z) zᵀ` (full square). ALS and Tucker-ALS pass `(t, 1.0)`
+/// (`1.0·x` is `x` bitwise, so that is the plain normal equations); AMN
+/// passes its Newton gradient and Hessian scalars. A `None` from `coeffs`
+/// aborts: the function returns `false` and leaves `gram`/`rhs`
+/// unspecified. The rank is `rhs.len()`; `z` is rank-long scratch that
+/// only the dynamic-rank kernel touches.
+///
+/// The per-rank kernel shapes below look interchangeable but compile very
+/// differently (measured on the bench scales, `target-cpu=native`):
+///
+/// * `R ∈ {2, 4}` — `acc_small`: gram lives in nested stack arrays the
+///   whole row; LLVM keeps the full accumulator in registers (~8x the
+///   iterator shape at rank 4).
+/// * `R = 8` — `acc_mid`: range-indexed slice rows. The
+///   `chunks_exact_mut` + array-conversion shape triggers an SLP
+///   shuffle-storm (`vpermt2pd` chains) that runs at scalar speed; plain
+///   indexed loops get the clean broadcast-multiply-add pattern (~2.4x).
+/// * `R = 16` — `acc_wide`: the row loop must stay *rolled* (runtime
+///   trip count via `rhs.len()`), otherwise full unrolling re-triggers the
+///   SLP explosion (~4x).
+/// * any other rank — [`accumulate_dyn`].
+///
+/// All shapes perform the identical per-element operation sequence, so
+/// they are bitwise interchangeable — which one runs is purely a codegen
+/// choice, pinned by `monomorphized_kernels_bitwise_match_generic`.
+#[inline]
+pub(crate) fn accumulate(
+    zs: impl SlotZ,
+    n: usize,
+    coeffs: impl FnMut(usize, &[f64]) -> Option<(f64, f64)>,
+    gram: &mut [f64],
+    rhs: &mut [f64],
+    z: &mut [f64],
+) -> bool {
+    match rhs.len() {
+        2 => acc_small::<2>(zs, n, coeffs, gram, rhs),
+        4 => acc_small::<4>(zs, n, coeffs, gram, rhs),
+        8 => acc_mid::<8>(zs, n, coeffs, gram, rhs),
+        16 => acc_wide::<16>(zs, n, coeffs, gram, rhs),
+        _ => accumulate_dyn(zs, n, coeffs, gram, rhs, z),
     }
 }
 
 #[inline]
-fn acc_cached_small<const R: usize>(
-    zcache: &[f64],
-    values: &[f64],
+fn acc_small<const R: usize>(
+    zs: impl SlotZ,
+    n: usize,
+    mut coeffs: impl FnMut(usize, &[f64]) -> Option<(f64, f64)>,
     gram: &mut [f64],
     rhs: &mut [f64],
-) {
+) -> bool {
     let mut g = [[0.0f64; R]; R];
     let mut rh = [0.0f64; R];
-    for (zc, &t) in zcache.chunks_exact(R).zip(values) {
-        let z: &[f64; R] = zc.try_into().unwrap();
+    for k in 0..n {
+        let z = zs.fixed::<R>(k);
+        let Some((a, c)) = coeffs(k, &z) else {
+            return false;
+        };
         for r in 0..R {
-            rh[r] += t * z[r];
+            rh[r] += a * z[r];
         }
-        for a in 0..R {
-            let za = z[a];
-            let row = &mut g[a];
-            for b in 0..R {
-                row[b] += za * z[b];
+        for i in 0..R {
+            let zi = c * z[i];
+            let row = &mut g[i];
+            for j in 0..R {
+                row[j] += zi * z[j];
             }
         }
     }
@@ -515,52 +299,166 @@ fn acc_cached_small<const R: usize>(
         grow.copy_from_slice(g);
     }
     rhs.copy_from_slice(&rh);
+    true
 }
 
 #[inline]
-fn acc_cached_mid<const R: usize>(
-    zcache: &[f64],
-    values: &[f64],
+fn acc_mid<const R: usize>(
+    zs: impl SlotZ,
+    n: usize,
+    mut coeffs: impl FnMut(usize, &[f64]) -> Option<(f64, f64)>,
     gram: &mut [f64],
     rhs: &mut [f64],
-) {
+) -> bool {
     gram.fill(0.0);
     rhs.fill(0.0);
-    for (zc, &t) in zcache.chunks_exact(R).zip(values) {
-        let z: &[f64; R] = zc.try_into().unwrap();
+    for k in 0..n {
+        let z = zs.fixed::<R>(k);
+        let Some((a, c)) = coeffs(k, &z) else {
+            return false;
+        };
         for r in 0..R {
-            rhs[r] += t * z[r];
+            rhs[r] += a * z[r];
         }
-        for a in 0..R {
-            let za = z[a];
-            let row = &mut gram[a * R..(a + 1) * R];
-            for b in 0..R {
-                row[b] += za * z[b];
+        for i in 0..R {
+            let zi = c * z[i];
+            let row = &mut gram[i * R..(i + 1) * R];
+            for j in 0..R {
+                row[j] += zi * z[j];
+            }
+        }
+    }
+    true
+}
+
+#[inline]
+fn acc_wide<const R: usize>(
+    zs: impl SlotZ,
+    n: usize,
+    mut coeffs: impl FnMut(usize, &[f64]) -> Option<(f64, f64)>,
+    gram: &mut [f64],
+    rhs: &mut [f64],
+) -> bool {
+    gram.fill(0.0);
+    rhs.fill(0.0);
+    // Runtime trip count on purpose: keeps the row loop rolled (see
+    // `accumulate`).
+    let rank = rhs.len();
+    for k in 0..n {
+        let z = zs.fixed::<R>(k);
+        let Some((a, c)) = coeffs(k, &z) else {
+            return false;
+        };
+        for (r, &zr) in rhs.iter_mut().zip(&z) {
+            *r += a * zr;
+        }
+        for (grow, &zi) in gram.chunks_exact_mut(rank).zip(&z) {
+            let zi = c * zi;
+            for (g, &zj) in grow.iter_mut().zip(&z) {
+                *g += zi * zj;
+            }
+        }
+    }
+    true
+}
+
+/// The dynamic-rank kernel of [`accumulate`] (same contract), run for the
+/// ranks without a fixed shape. AMN's reference sweep calls it directly,
+/// so the specification the streamed sweep is tested against never routes
+/// through the dispatch under test.
+pub(crate) fn accumulate_dyn(
+    zs: impl SlotZ,
+    n: usize,
+    mut coeffs: impl FnMut(usize, &[f64]) -> Option<(f64, f64)>,
+    gram: &mut [f64],
+    rhs: &mut [f64],
+    z: &mut [f64],
+) -> bool {
+    gram.fill(0.0);
+    rhs.fill(0.0);
+    let rank = rhs.len();
+    for k in 0..n {
+        let z = zs.dynamic(k, z);
+        let Some((a, c)) = coeffs(k, z) else {
+            return false;
+        };
+        for (r, &zr) in rhs.iter_mut().zip(z) {
+            *r += a * zr;
+        }
+        for (grow, &zi) in gram.chunks_exact_mut(rank).zip(z) {
+            let zi = c * zi;
+            for (g, &zj) in grow.iter_mut().zip(z) {
+                *g += zi * zj;
+            }
+        }
+    }
+    true
+}
+
+/// Fill a row's `z`-cache (`len * rank` contiguous, one `z` per slot of
+/// the row) from its gathered `z` — what AMN's Newton iterations re-read
+/// all row. Rank-monomorphized like [`accumulate`].
+pub(crate) fn fill_zcache(zs: Gathered<'_>, len: usize, rank: usize, zcache: &mut Vec<f64>) {
+    zcache.clear();
+    zcache.reserve(len * rank);
+    match rank {
+        2 => fill_zcache_fixed::<2>(zs, len, zcache),
+        4 => fill_zcache_fixed::<4>(zs, len, zcache),
+        8 => fill_zcache_fixed::<8>(zs, len, zcache),
+        16 => fill_zcache_fixed::<16>(zs, len, zcache),
+        _ => {
+            for k in 0..len {
+                let start = zcache.len();
+                zcache.resize(start + rank, 0.0);
+                zs.dynamic(k, &mut zcache[start..]);
             }
         }
     }
 }
 
 #[inline]
-fn acc_cached_wide<const R: usize>(
-    zcache: &[f64],
-    values: &[f64],
-    gram: &mut [f64],
-    rhs: &mut [f64],
-) {
-    gram.fill(0.0);
-    rhs.fill(0.0);
-    let rank = rhs.len();
-    for (zc, &t) in zcache.chunks_exact(R).zip(values) {
-        let z: &[f64; R] = zc.try_into().unwrap();
-        for (r, &za) in rhs.iter_mut().zip(z) {
-            *r += t * za;
+fn fill_zcache_fixed<const R: usize>(zs: Gathered<'_>, len: usize, zcache: &mut Vec<f64>) {
+    for k in 0..len {
+        zcache.extend_from_slice(&zs.fixed::<R>(k));
+    }
+}
+
+/// Per-worker scratch of a least-squares row solve (ALS and Tucker-ALS):
+/// the row's normal equations, the Cholesky workspace and a rank-long
+/// `z`, allocated once per parallel block instead of once per row.
+pub(crate) struct RowSystem {
+    pub gram: Matrix,
+    pub chol: Matrix,
+    pub rhs: Vec<f64>,
+    pub z: Vec<f64>,
+}
+
+impl RowSystem {
+    pub fn new(rank: usize) -> Self {
+        Self {
+            gram: Matrix::zeros(rank, rank),
+            chol: Matrix::zeros(rank, rank),
+            rhs: vec![0.0; rank],
+            z: vec![0.0; rank],
         }
-        for (grow, &za) in gram.chunks_exact_mut(rank).zip(z) {
-            for (g, &zb) in grow.iter_mut().zip(z) {
-                *g += za * zb;
-            }
+    }
+
+    /// Finish a row whose `n` observations are accumulated: scale the
+    /// normal equations by `1/n` (the paper's row objective scales its
+    /// data term by `1/|Ω_i|`), add `λ` on the diagonal and solve straight
+    /// into `row`. Returns the scale, which
+    /// [`fused_quadratic_loss`] needs to recover the row's data loss.
+    pub fn solve_into(&mut self, n: usize, lambda: f64, row: &mut [f64]) -> f64 {
+        let scale = 1.0 / n as f64;
+        self.gram.scale_mut(scale);
+        for r in &mut self.rhs {
+            *r *= scale;
         }
+        for a in 0..self.rhs.len() {
+            self.gram[(a, a)] += lambda;
+        }
+        solve_spd_jittered_into(&self.gram, &self.rhs, &mut self.chol, row);
+        scale
     }
 }
 
@@ -596,51 +494,10 @@ pub(crate) fn fused_quadratic_loss(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::amn::newton_coeffs;
     use cpr_tensor::CpDecomp;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    /// Raw-kernel timing harness (run manually:
-    /// `cargo test --release -p cpr_completion kernel_micro -- --ignored --nocapture`).
-    #[test]
-    #[ignore]
-    fn kernel_micro() {
-        let dims = [24usize, 24, 24];
-        let rank = 8;
-        let obs = random_obs(&dims, 2764, 42);
-        let cp = CpDecomp::random(&dims, rank, 0.0, 1.0, 7);
-        let stream = obs.mode_stream(0);
-        let foreign = foreign_factors(&cp, 0);
-        let src = z_source(&foreign, 0);
-        let mut gram = vec![0.0; rank * rank];
-        let mut rhs = vec![0.0; rank];
-        let mut zs = vec![0.0; rank];
-        let reps = 120; // = 40 sweeps x 3 modes
-        let t = std::time::Instant::now();
-        let mut acc = 0.0;
-        for _ in 0..reps {
-            for i in 0..stream.rows() {
-                let rng = stream.row_range(i);
-                if rng.is_empty() {
-                    continue;
-                }
-                acc += accumulate_normal_equations_streamed(
-                    src,
-                    stream.row_foreign(i),
-                    &stream.values()[rng],
-                    rank,
-                    &mut gram,
-                    &mut rhs,
-                    &mut zs,
-                );
-            }
-        }
-        println!(
-            "kernel-only: {:.3} ms for {} rep-sweep-modes (acc {acc:.1})",
-            t.elapsed().as_secs_f64() * 1e3,
-            reps
-        );
-    }
 
     fn random_obs(dims: &[usize], n: usize, seed: u64) -> SparseTensor {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -655,11 +512,56 @@ mod tests {
         obs
     }
 
-    /// Monomorphized and generic accumulators must agree bitwise — they
-    /// are the same operation sequence with different loop trip counts —
-    /// across every `z` source (the order-2 and order-3 gathers and the
-    /// fold at orders 4, 6 and 9, every free mode) and against the
-    /// canonical per-entry `z`.
+    fn assert_bits(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}");
+        }
+    }
+
+    /// One row system: whether it ran to the end, then `gram` and `rhs`.
+    type System = (bool, Vec<f64>, Vec<f64>);
+
+    fn assert_systems_equal(a: &System, b: &System, what: &str) {
+        assert_eq!(a.0, b.0, "abort {what}");
+        if a.0 {
+            assert_bits(&a.1, &b.1, &format!("gram {what}"));
+            assert_bits(&a.2, &b.2, &format!("rhs {what}"));
+        }
+    }
+
+    /// `accumulate` through its dispatch, checked against `accumulate_dyn`.
+    fn run_both(
+        zs: impl SlotZ + Copy,
+        n: usize,
+        coeffs: impl Fn(usize, &[f64]) -> Option<(f64, f64)> + Copy,
+        rank: usize,
+        what: &str,
+    ) -> System {
+        let mut z = vec![0.0; rank];
+        let mut run = |dispatch: bool| {
+            let (mut gram, mut rhs) = (vec![0.0; rank * rank], vec![0.0; rank]);
+            let ok = if dispatch {
+                accumulate(zs, n, coeffs, &mut gram, &mut rhs, &mut z)
+            } else {
+                accumulate_dyn(zs, n, coeffs, &mut gram, &mut rhs, &mut z)
+            };
+            (ok, gram, rhs)
+        };
+        let fixed = run(true);
+        assert_systems_equal(&fixed, &run(false), what);
+        fixed
+    }
+
+    /// Every fixed kernel shape agrees bitwise with the dynamic-rank kernel
+    /// — they are the same operation sequence with different loop trip
+    /// counts — for both `z` sources (gathered through every `ZSource`:
+    /// the order-2 and order-3 gathers and the fold at orders 4, 6 and 9,
+    /// every free mode; and the materialized cache) and both coefficient
+    /// kinds (least squares `(t, 1.0)`, and AMN's Newton scalars, which
+    /// abort on rows whose model value leaves the positive domain). The
+    /// gathered and cached sources give the same systems, and the cache
+    /// fill gives the canonical per-entry `z`.
     #[test]
     fn monomorphized_kernels_bitwise_match_generic() {
         let cases = [
@@ -669,10 +571,13 @@ mod tests {
             vec![3, 2, 3, 2, 3, 2],
             vec![2, 3, 2, 2, 3, 2, 2, 3, 2],
         ];
+        let (mut built, mut aborted) = (0usize, 0usize);
         for dims in &cases {
-            for &rank in &[2usize, 3, 4, 8, 16] {
+            for &rank in &[1usize, 2, 3, 4, 8, 16] {
                 let obs = random_obs(dims, 30, rank as u64);
                 let cp = CpDecomp::random(dims, rank, -1.0, 1.0, 7);
+                let mut rng = StdRng::seed_from_u64(rank as u64 + 11);
+                let u: Vec<f64> = (0..rank).map(|_| rng.gen_range(0.1..1.0)).collect();
                 for mode in 0..dims.len() {
                     let stream = obs.mode_stream(mode);
                     let factors = foreign_factors(&cp, mode);
@@ -683,29 +588,38 @@ mod tests {
                             continue;
                         }
                         let ids = &stream.entry_ids()[rng.clone()];
-                        let foreign = stream.row_foreign(i);
                         let vals = &stream.values()[rng];
-                        let mut g1 = vec![0.0; rank * rank];
-                        let mut r1 = vec![0.0; rank];
-                        let mut zs = vec![0.0; rank];
-                        let t2a = accumulate_normal_equations_streamed(
-                            src, foreign, vals, rank, &mut g1, &mut r1, &mut zs,
-                        );
-                        let mut g2 = vec![0.0; rank * rank];
-                        let mut r2 = vec![0.0; rank];
-                        let t2b =
-                            acc_ne_generic(&src, foreign, vals, rank, &mut g2, &mut r2, &mut zs);
-                        let what = format!("order {} mode {mode} rank {rank}", dims.len());
-                        assert_eq!(t2a.to_bits(), t2b.to_bits(), "{what}");
-                        for (a, b) in g1.iter().zip(&g2) {
-                            assert_eq!(a.to_bits(), b.to_bits(), "gram {what}");
-                        }
-                        for (a, b) in r1.iter().zip(&r2) {
-                            assert_eq!(a.to_bits(), b.to_bits(), "rhs {what}");
-                        }
-                        // z-cache fill agrees with the canonical z per entry.
+                        let n = vals.len();
+                        let gathered = Gathered {
+                            src,
+                            foreign: stream.row_foreign(i),
+                        };
                         let mut zc = Vec::new();
-                        fill_zcache(src, foreign, ids.len(), rank, &mut zc);
+                        fill_zcache(gathered, n, rank, &mut zc);
+                        let cached = Cached(&zc);
+                        let what = format!("order {} mode {mode} rank {rank}", dims.len());
+
+                        let ls = |k: usize, _: &[f64]| Some((vals[k], 1.0));
+                        let from_gather = run_both(gathered, n, ls, rank, &what);
+                        assert!(from_gather.0, "least squares aborted {what}");
+                        let from_cache = run_both(cached, n, ls, rank, &what);
+                        assert_systems_equal(&from_gather, &from_cache, &format!("LS {what}"));
+
+                        let inv = 1.0 / n as f64;
+                        let newton = |k: usize, z: &[f64]| {
+                            let m: f64 = z.iter().zip(&u).map(|(a, b)| a * b).sum();
+                            newton_coeffs(m, vals[k], inv)
+                        };
+                        let from_gather = run_both(gathered, n, newton, rank, &what);
+                        let from_cache = run_both(cached, n, newton, rank, &what);
+                        assert_systems_equal(&from_gather, &from_cache, &format!("Newton {what}"));
+                        if from_gather.0 {
+                            built += 1;
+                        } else {
+                            aborted += 1;
+                        }
+
+                        // The cache fill agrees with the canonical z per entry.
                         let mut zref = vec![0.0; rank];
                         for (k, &e) in ids.iter().enumerate() {
                             cp.leave_one_out_canonical(obs.index(e as usize), mode, &mut zref);
@@ -717,5 +631,9 @@ mod tests {
                 }
             }
         }
+        assert!(
+            built > 0 && aborted > 0,
+            "Newton rows: {built} built, {aborted} aborted"
+        );
     }
 }

@@ -20,30 +20,13 @@
 //! element-by-element with the same canonical association; proptests pin
 //! the two bitwise-equal.
 
-use crate::convergence::{StopRule, Trace};
-use crate::sweep::{accumulate_normal_equations_cached, build_streams, fused_quadratic_loss};
-use cpr_tensor::linalg::{solve_spd_jittered, solve_spd_jittered_into};
+use crate::convergence::Trace;
+use crate::optimizer::CompletionSpec;
+use crate::sweep::{accumulate, build_streams, fused_quadratic_loss, Cached, RowSystem};
+use cpr_tensor::linalg::solve_spd_jittered;
 use cpr_tensor::tucker::TuckerDecomp;
 use cpr_tensor::{DenseTensor, Matrix, ModeIndex, ModeStream, PackedFactors, SparseTensor};
 use rayon::prelude::*;
-
-/// Tucker-ALS configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct TuckerConfig {
-    /// Ridge regularization λ (applied to factors and core).
-    pub lambda: f64,
-    /// Stopping rule.
-    pub stop: StopRule,
-}
-
-impl Default for TuckerConfig {
-    fn default() -> Self {
-        Self {
-            lambda: 1e-5,
-            stop: StopRule::default(),
-        }
-    }
-}
 
 /// Squared-error objective with ridge terms on factors and core.
 pub fn tucker_objective(t: &TuckerDecomp, obs: &SparseTensor, lambda: f64) -> f64 {
@@ -58,16 +41,17 @@ pub fn tucker_objective(t: &TuckerDecomp, obs: &SparseTensor, lambda: f64) -> f6
 }
 
 /// Run Tucker-ALS completion, updating `t` in place (streamed sweep; see
-/// the module docs and [`tucker_als_reference`]).
-pub fn tucker_als(t: &mut TuckerDecomp, obs: &SparseTensor, config: &TuckerConfig) -> Trace {
+/// the module docs and [`tucker_als_reference`]). `spec.lambda` is the
+/// ridge λ on factors and core.
+pub fn tucker_als(t: &mut TuckerDecomp, obs: &SparseTensor, spec: &CompletionSpec) -> Trace {
     assert_eq!(t.dims(), obs.dims(), "Tucker-ALS: shape mismatch");
     let streams = build_streams(obs);
 
     let mut trace = Trace::default();
-    let mut prev = tucker_objective(t, obs, config.lambda);
-    for _sweep in 0..config.stop.max_sweeps {
+    let mut prev = tucker_objective(t, obs, spec.lambda);
+    for _sweep in 0..spec.stop.max_sweeps {
         for (mode, stream) in streams.iter().enumerate() {
-            update_factor_streamed(t, stream, mode, config);
+            update_factor_streamed(t, stream, mode, spec.lambda);
         }
         // Incremental-Kronecker designer: k = ⊗_j U_j[i_j, :], built by
         // folding the packed factor rows in ascending mode order (left
@@ -76,16 +60,16 @@ pub fn tucker_als(t: &mut TuckerDecomp, obs: &SparseTensor, config: &TuckerConfi
         let packed = t.packed();
         let d = t.order();
         let mut ktmp: Vec<f64> = Vec::new();
-        let data_loss = update_core_with(t, obs, config, |idx, design| {
+        let data_loss = update_core_with(t, obs, spec.lambda, |idx, design| {
             design.clear();
             design.push(1.0);
             for (j, &i) in idx.iter().enumerate().take(d) {
                 kron_fold(packed.row(j, i as usize), design, &mut ktmp);
             }
         });
-        let g = sweep_objective(t, data_loss, config.lambda);
+        let g = sweep_objective(t, data_loss, spec.lambda);
         trace.objective.push(g);
-        if config.stop.converged(prev, g) {
+        if spec.stop.converged(prev, g) {
             trace.converged = true;
             break;
         }
@@ -102,21 +86,21 @@ pub fn tucker_als(t: &mut TuckerDecomp, obs: &SparseTensor, config: &TuckerConfi
 pub fn tucker_als_reference(
     t: &mut TuckerDecomp,
     obs: &SparseTensor,
-    config: &TuckerConfig,
+    spec: &CompletionSpec,
 ) -> Trace {
     assert_eq!(t.dims(), obs.dims(), "Tucker-ALS: shape mismatch");
     let d = t.order();
     let mode_indices: Vec<ModeIndex> = (0..d).map(|m| obs.mode_index(m)).collect();
 
     let mut trace = Trace::default();
-    let mut prev = tucker_objective(t, obs, config.lambda);
-    for _sweep in 0..config.stop.max_sweeps {
+    let mut prev = tucker_objective(t, obs, spec.lambda);
+    for _sweep in 0..spec.stop.max_sweeps {
         for (mode, mi) in mode_indices.iter().enumerate() {
-            update_factor_reference(t, obs, mode, mi, config);
+            update_factor_reference(t, obs, mode, mi, spec.lambda);
         }
         let frozen = t.clone();
         let mut digits: Vec<usize> = Vec::new();
-        let data_loss = update_core_with(t, obs, config, |idx, design| {
+        let data_loss = update_core_with(t, obs, spec.lambda, |idx, design| {
             let ranks = frozen.ranks();
             let p = frozen.core().len();
             design.clear();
@@ -137,9 +121,9 @@ pub fn tucker_als_reference(
                 *slot = k;
             }
         });
-        let g = sweep_objective(t, data_loss, config.lambda);
+        let g = sweep_objective(t, data_loss, spec.lambda);
         trace.objective.push(g);
-        if config.stop.converged(prev, g) {
+        if spec.stop.converged(prev, g) {
             trace.converged = true;
             break;
         }
@@ -155,12 +139,10 @@ fn sweep_objective(t: &TuckerDecomp, data_loss: f64, lambda: f64) -> f64 {
     data_loss + lambda * (reg_f + reg_c)
 }
 
-/// Per-worker scratch for the Tucker row solves.
+/// Per-worker scratch for the Tucker row solves: the shared row system
+/// plus the design-vector buffers.
 struct RowScratch {
-    gram: Matrix,
-    chol: Matrix,
-    rhs: Vec<f64>,
-    z: Vec<f64>,
+    sys: RowSystem,
     zcache: Vec<f64>,
     kron: Vec<f64>,
     ktmp: Vec<f64>,
@@ -170,10 +152,7 @@ struct RowScratch {
 impl RowScratch {
     fn new(rank: usize) -> Self {
         Self {
-            gram: Matrix::zeros(rank, rank),
-            chol: Matrix::zeros(rank, rank),
-            rhs: vec![0.0; rank],
-            z: vec![0.0; rank],
+            sys: RowSystem::new(rank),
             zcache: Vec::new(),
             kron: Vec::new(),
             ktmp: Vec::new(),
@@ -294,28 +273,9 @@ fn design_reference(
     }
 }
 
-/// Shared row finish: scale + ridge + solve straight into the factor row.
-#[inline]
-fn finish_row(s: &mut RowScratch, n_entries: usize, rank: usize, lambda: f64, row: &mut [f64]) {
-    let scale = 1.0 / n_entries as f64;
-    s.gram.scale_mut(scale);
-    for r in &mut s.rhs {
-        *r *= scale;
-    }
-    for a in 0..rank {
-        s.gram[(a, a)] += lambda;
-    }
-    solve_spd_jittered_into(&s.gram, &s.rhs, &mut s.chol, row);
-}
-
 /// Streamed row-wise ridge solve for one mode's factor (parallel across
 /// rows, written in place — no model clone, no per-row allocations).
-fn update_factor_streamed(
-    t: &mut TuckerDecomp,
-    stream: &ModeStream,
-    mode: usize,
-    config: &TuckerConfig,
-) {
+fn update_factor_streamed(t: &mut TuckerDecomp, stream: &ModeStream, mode: usize, lambda: f64) {
     let rank = t.ranks()[mode];
     let mut factor = t.take_factor(mode);
     let frozen: &TuckerDecomp = t;
@@ -325,7 +285,6 @@ fn update_factor_streamed(
     let unf = unfold_core(frozen.core(), mode);
     let foreign_modes: Vec<usize> = (0..frozen.order()).filter(|&j| j != mode).collect();
     let fsize = frozen.core().len() / rank;
-    let lambda = config.lambda;
     let vals = stream.values();
     factor
         .as_mut_slice()
@@ -350,18 +309,21 @@ fn update_factor_streamed(
                         fsize,
                         &mut s.kron,
                         &mut s.ktmp,
-                        &mut s.z,
+                        &mut s.sys.z,
                     );
-                    s.zcache.extend_from_slice(&s.z);
+                    s.zcache.extend_from_slice(&s.sys.z);
                 }
-                accumulate_normal_equations_cached(
-                    &s.zcache,
-                    &vals[rng.clone()],
-                    rank,
-                    s.gram.as_mut_slice(),
-                    &mut s.rhs,
+                let row_vals = &vals[rng];
+                let sys = &mut s.sys;
+                accumulate(
+                    Cached(&s.zcache),
+                    row_vals.len(),
+                    |k, _| Some((row_vals[k], 1.0)),
+                    sys.gram.as_mut_slice(),
+                    &mut sys.rhs,
+                    &mut sys.z,
                 );
-                finish_row(s, rng.len(), rank, lambda, row);
+                sys.solve_into(row_vals.len(), lambda, row);
             },
         );
     t.set_factor(mode, factor);
@@ -373,12 +335,11 @@ fn update_factor_reference(
     obs: &SparseTensor,
     mode: usize,
     mi: &ModeIndex,
-    config: &TuckerConfig,
+    lambda: f64,
 ) {
     let rank = t.ranks()[mode];
     let mut factor = t.take_factor(mode);
     let frozen: &TuckerDecomp = t;
-    let lambda = config.lambda;
     factor
         .as_mut_slice()
         .par_chunks_mut(rank)
@@ -391,23 +352,24 @@ fn update_factor_reference(
                     row.fill(0.0);
                     return;
                 }
-                let gram = s.gram.as_mut_slice();
+                let sys = &mut s.sys;
+                let gram = sys.gram.as_mut_slice();
                 gram.fill(0.0);
-                s.rhs.fill(0.0);
+                sys.rhs.fill(0.0);
                 for &e in entries {
                     let e = e as usize;
-                    design_reference(frozen, obs.index(e), mode, &mut s.z, &mut s.digits);
+                    design_reference(frozen, obs.index(e), mode, &mut sys.z, &mut s.digits);
                     let y = obs.value(e);
-                    for (r, &za) in s.rhs.iter_mut().zip(&s.z) {
+                    for (r, &za) in sys.rhs.iter_mut().zip(&sys.z) {
                         *r += y * za;
                     }
-                    for (grow, &za) in gram.chunks_exact_mut(rank).zip(&s.z) {
-                        for (g, &zb) in grow.iter_mut().zip(&s.z) {
+                    for (grow, &za) in gram.chunks_exact_mut(rank).zip(&sys.z) {
+                        for (g, &zb) in grow.iter_mut().zip(&sys.z) {
                             *g += za * zb;
                         }
                     }
                 }
-                finish_row(s, entries.len(), rank, lambda, row);
+                sys.solve_into(entries.len(), lambda, row);
             },
         );
     t.set_factor(mode, factor);
@@ -421,7 +383,7 @@ fn update_factor_reference(
 fn update_core_with(
     t: &mut TuckerDecomp,
     obs: &SparseTensor,
-    config: &TuckerConfig,
+    lambda: f64,
     mut designer: impl FnMut(&[u32], &mut Vec<f64>),
 ) -> f64 {
     let p: usize = t.ranks().iter().product();
@@ -455,7 +417,7 @@ fn update_core_with(
         *r *= scale;
     }
     for a in 0..p {
-        gram[(a, a)] += config.lambda;
+        gram[(a, a)] += lambda;
     }
     let core_flat = solve_spd_jittered(&gram, &rhs);
     t.core_mut().as_mut_slice().copy_from_slice(&core_flat);
@@ -464,7 +426,7 @@ fn update_core_with(
         &rhs,
         t.core().as_slice(),
         p,
-        config.lambda,
+        lambda,
         scale,
         y2,
     )
@@ -473,6 +435,7 @@ fn update_core_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convergence::StopRule;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -493,12 +456,13 @@ mod tests {
         let truth = TuckerDecomp::random(&[6, 5, 4], &[2, 2, 2], 0.3, 1.2, 3);
         let obs = SparseTensor::from_dense(&truth.to_dense());
         let mut model = TuckerDecomp::random(&[6, 5, 4], &[2, 2, 2], 0.1, 1.0, 4);
-        let cfg = TuckerConfig {
+        let cfg = CompletionSpec {
             lambda: 1e-9,
             stop: StopRule {
                 max_sweeps: 300,
                 tol: 1e-13,
             },
+            ..Default::default()
         };
         tucker_als(&mut model, &obs, &cfg);
         // Alternating schemes plateau near (not at) exact recovery; require
@@ -511,12 +475,13 @@ mod tests {
         let truth = TuckerDecomp::random(&[7, 7, 6], &[2, 2, 2], 0.4, 1.2, 11);
         let obs = sampled_obs(&truth, 0.6, 12);
         let mut model = TuckerDecomp::random(&[7, 7, 6], &[2, 2, 2], 0.1, 1.0, 13);
-        let cfg = TuckerConfig {
+        let cfg = CompletionSpec {
             lambda: 1e-8,
             stop: StopRule {
                 max_sweeps: 400,
                 tol: 1e-13,
             },
+            ..Default::default()
         };
         tucker_als(&mut model, &obs, &cfg);
         let full = SparseTensor::from_dense(&truth.to_dense());
@@ -532,7 +497,7 @@ mod tests {
         let truth = TuckerDecomp::random(&[5, 5, 4], &[2, 2, 2], 0.3, 1.0, 20);
         let obs = sampled_obs(&truth, 0.8, 21);
         let mut model = TuckerDecomp::random(&[5, 5, 4], &[2, 2, 2], 0.1, 1.0, 22);
-        let trace = tucker_als(&mut model, &obs, &TuckerConfig::default());
+        let trace = tucker_als(&mut model, &obs, &CompletionSpec::default());
         assert!(trace.is_monotone(1e-9), "{:?}", trace.objective);
     }
 
@@ -543,12 +508,13 @@ mod tests {
         let truth = TuckerDecomp::random(&[6, 5, 4], &[2, 3, 2], 0.3, 1.1, 33);
         let obs = sampled_obs(&truth, 0.7, 34);
         let mut model = TuckerDecomp::random(&[6, 5, 4], &[2, 3, 2], 0.1, 1.0, 35);
-        let cfg = TuckerConfig {
+        let cfg = CompletionSpec {
             lambda: 1e-6,
             stop: StopRule {
                 max_sweeps: 5,
                 tol: -1.0,
             },
+            ..Default::default()
         };
         let trace = tucker_als(&mut model, &obs, &cfg);
         let direct = tucker_objective(&model, &obs, cfg.lambda);
@@ -588,12 +554,13 @@ mod tests {
         tucker_als(
             &mut tucker,
             &obs,
-            &TuckerConfig {
+            &CompletionSpec {
                 lambda: 1e-8,
                 stop: StopRule {
                     max_sweeps: 200,
                     tol: 1e-12,
                 },
+                ..Default::default()
             },
         );
         // CP with rank chosen to roughly match Tucker's parameter count.
@@ -602,12 +569,13 @@ mod tests {
         crate::als::als(
             &mut cp,
             &obs,
-            &crate::als::AlsConfig {
+            &CompletionSpec {
                 lambda: 1e-8,
                 stop: StopRule {
                     max_sweeps: 200,
                     tol: 1e-12,
                 },
+                ..Default::default()
             },
         );
         let full = SparseTensor::from_dense(&truth.to_dense());
@@ -622,7 +590,7 @@ mod tests {
         obs.push(&[0, 0], 1.0);
         obs.push(&[1, 1], 2.0);
         let mut model = TuckerDecomp::random(&[4, 3], &[2, 2], 0.1, 1.0, 40);
-        tucker_als(&mut model, &obs, &TuckerConfig::default());
+        tucker_als(&mut model, &obs, &CompletionSpec::default());
         assert!(model.factor(0).row(3).iter().all(|&v| v == 0.0));
     }
 }

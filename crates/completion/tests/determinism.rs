@@ -10,9 +10,7 @@
 //! CP optimizers run an order-3 problem and an order-6 one, where every
 //! leave-one-out vector comes from the multi-row fold.
 
-use cpr_completion::{
-    als, amn, init_positive, tucker_als, AlsConfig, AmnConfig, StopRule, TuckerConfig,
-};
+use cpr_completion::{als, amn, init_positive, tucker_als, CompletionSpec, StopRule};
 use cpr_tensor::{CpDecomp, SparseTensor, TuckerDecomp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -67,12 +65,13 @@ fn assert_traces_bitwise_equal(a: &[f64], b: &[f64], what: &str) {
 fn als_is_bitwise_identical_across_thread_counts() {
     for (dims, seed) in [(&[13, 9, 11][..], 5), (&[4, 3, 4, 3, 3, 4][..], 6)] {
         let obs = sampled_obs(dims, 3, 0.3, seed);
-        let cfg = AlsConfig {
+        let cfg = CompletionSpec {
             lambda: 1e-7,
             stop: StopRule {
                 max_sweeps: 25,
                 tol: 1e-12,
             },
+            ..Default::default()
         };
         let fit = || {
             let mut cp = CpDecomp::random(dims, 3, 0.0, 1.0, 17);
@@ -92,12 +91,13 @@ fn als_is_bitwise_identical_across_thread_counts() {
 fn amn_is_bitwise_identical_across_thread_counts() {
     for (dims, seed) in [(&[8, 7, 6][..], 9), (&[3, 4, 3, 3, 4, 3][..], 10)] {
         let obs = sampled_obs(dims, 2, 0.4, seed);
-        let cfg = AmnConfig {
+        let cfg = CompletionSpec {
             lambda: 1e-6,
             stop: StopRule {
                 max_sweeps: 8,
                 tol: 1e-10,
             },
+            ..Default::default()
         };
         let gm = (obs.values().iter().map(|v| v.ln()).sum::<f64>() / obs.nnz() as f64).exp();
         let fit = || {
@@ -116,12 +116,13 @@ fn amn_is_bitwise_identical_across_thread_counts() {
 #[test]
 fn tucker_als_is_bitwise_identical_across_thread_counts() {
     let obs = sampled_obs(&[8, 8, 7], 2, 0.35, 13);
-    let cfg = TuckerConfig {
+    let cfg = CompletionSpec {
         lambda: 1e-7,
         stop: StopRule {
             max_sweeps: 12,
             tol: 1e-12,
         },
+        ..Default::default()
     };
     let fit = || {
         let mut t = TuckerDecomp::random(&[8, 8, 7], &[2, 2, 2], 0.1, 1.0, 31);
@@ -139,4 +140,119 @@ fn tucker_als_is_bitwise_identical_across_thread_counts() {
         assert_eq!(x.to_bits(), y.to_bits(), "Tucker core");
     }
     assert_traces_bitwise_equal(&tr1.objective, &tr4.objective, "Tucker");
+}
+
+/// FNV-1a over 64-bit words: folds factor, core and trace bits.
+fn fnv(checksum: &mut u64, values: &[f64]) {
+    for v in values {
+        *checksum = (*checksum ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+const FNV_START: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The ranks the pins cover: every kernel shape (stack arrays at 1–4,
+/// indexed rows at 8, a rolled loop at 16) and the dynamic-rank path (3).
+const PIN_RANKS: [usize; 6] = [1, 2, 3, 4, 8, 16];
+
+/// One problem per order the pins cover: 2 (one-row `z` source), 3
+/// (two-row source) and 6 (the multi-row fold).
+const PIN_PROBLEMS: [(&[usize], u64); 3] =
+    [(&[12, 10], 41), (&[9, 8, 7], 42), (&[4, 3, 4, 3, 3, 4], 43)];
+
+/// Three forced sweeps: enough for every row solve to read factors that
+/// earlier solves wrote.
+const PIN_STOP: StopRule = StopRule {
+    max_sweeps: 3,
+    tol: -1.0,
+};
+
+// The pins below fold every factor and trace bit of fits on seeded
+// problems, so a change to a kernel is checked against the recorded fit,
+// not only against the reference sweep it is compared with above. The
+// data holds no constant-base `powf` (optimized builds may rewrite those
+// as `exp2`), so a fit gives the same bits in the debug and release
+// profiles and the constants hold in both.
+
+#[test]
+fn als_fit_bits_are_pinned() {
+    let mut checksum = FNV_START;
+    for (dims, seed) in PIN_PROBLEMS {
+        let obs = sampled_obs(dims, 2, 0.5, seed);
+        for rank in PIN_RANKS {
+            let mut cp = CpDecomp::random(dims, rank, 0.0, 1.0, seed + rank as u64);
+            let cfg = CompletionSpec {
+                lambda: 1e-6,
+                stop: PIN_STOP,
+                ..Default::default()
+            };
+            let trace = als(&mut cp, &obs, &cfg);
+            for m in 0..cp.order() {
+                fnv(&mut checksum, cp.factor(m).as_slice());
+            }
+            fnv(&mut checksum, &trace.objective);
+        }
+    }
+    assert_eq!(
+        checksum, 0x2cb9_d461_292f_1663,
+        "ALS fit bits moved: {checksum:#018x}"
+    );
+}
+
+#[test]
+fn amn_fit_bits_are_pinned() {
+    let mut checksum = FNV_START;
+    for (dims, seed) in PIN_PROBLEMS {
+        let obs = sampled_obs(dims, 2, 0.5, seed);
+        let gm = (obs.values().iter().map(|v| v.ln()).sum::<f64>() / obs.nnz() as f64).exp();
+        for rank in PIN_RANKS {
+            let mut cp = init_positive(dims, rank, gm, seed + rank as u64);
+            let cfg = CompletionSpec {
+                lambda: 1e-6,
+                stop: PIN_STOP,
+                ..Default::default()
+            };
+            let trace = amn(&mut cp, &obs, &cfg);
+            for m in 0..cp.order() {
+                fnv(&mut checksum, cp.factor(m).as_slice());
+            }
+            fnv(&mut checksum, &trace.objective);
+        }
+    }
+    assert_eq!(
+        checksum, 0xa953_6934_d349_79cb,
+        "AMN fit bits moved: {checksum:#018x}"
+    );
+}
+
+#[test]
+fn tucker_als_fit_bits_are_pinned() {
+    let mut checksum = FNV_START;
+    for (dims, seed) in PIN_PROBLEMS {
+        let obs = sampled_obs(dims, 2, 0.5, seed);
+        for rank in PIN_RANKS {
+            // One mode at the pinned rank, the others at 1 or 2: the
+            // core stays small at order 6.
+            let wide = rank % dims.len();
+            let ranks: Vec<usize> = (0..dims.len())
+                .map(|j| if j == wide { rank } else { 1 + j % 2 })
+                .collect();
+            let mut t = TuckerDecomp::random(dims, &ranks, 0.1, 1.0, seed + rank as u64);
+            let cfg = CompletionSpec {
+                lambda: 1e-6,
+                stop: PIN_STOP,
+                ..Default::default()
+            };
+            let trace = tucker_als(&mut t, &obs, &cfg);
+            for m in 0..t.order() {
+                fnv(&mut checksum, t.factor(m).as_slice());
+            }
+            fnv(&mut checksum, t.core().as_slice());
+            fnv(&mut checksum, &trace.objective);
+        }
+    }
+    assert_eq!(
+        checksum, 0x3e19_eba0_379f_6ff4,
+        "Tucker-ALS fit bits moved: {checksum:#018x}"
+    );
 }

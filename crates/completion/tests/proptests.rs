@@ -1,6 +1,6 @@
 //! Property-based tests for the tensor-completion optimizers.
 
-use cpr_completion::{als, amn, init_positive, AlsConfig, AmnConfig, StopRule};
+use cpr_completion::{als, amn, init_positive, CompletionSpec, StopRule};
 use cpr_tensor::{CpDecomp, SparseTensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -36,9 +36,10 @@ proptest! {
         let truth = CpDecomp::random(&[5, 4, 4], 2, 0.3, 1.2, seed);
         let obs = sampled_obs(&truth, frac, seed + 1);
         let mut model = CpDecomp::random(&[5, 4, 4], rank, 0.0, 1.0, seed + 2);
-        let cfg = AlsConfig {
+        let cfg = CompletionSpec {
             lambda: 1e-6,
             stop: StopRule { max_sweeps: 25, tol: 0.0 },
+            ..Default::default()
         };
         let trace = als(&mut model, &obs, &cfg);
         // With the paper's per-row 1/|Ω_i| scaling, each row update is
@@ -65,9 +66,10 @@ proptest! {
             / obs.nnz() as f64)
             .exp();
         let mut cp = init_positive(&[4, 4, 3], rank, gm, seed + 1);
-        let cfg = AmnConfig {
+        let cfg = CompletionSpec {
             lambda: 1e-7,
             stop: StopRule { max_sweeps: 30, tol: 1e-8 },
+            ..Default::default()
         };
         amn(&mut cp, &obs, &cfg);
         prop_assert!(cp.is_strictly_positive());
@@ -84,9 +86,10 @@ proptest! {
         let truth = CpDecomp::random(&[4, 4], 2, 0.2, 1.0, seed);
         let obs = SparseTensor::from_dense(&truth.to_dense());
         let mut model = truth.clone();
-        let cfg = AlsConfig {
+        let cfg = CompletionSpec {
             lambda: 1e-12,
             stop: StopRule { max_sweeps: 3, tol: 0.0 },
+            ..Default::default()
         };
         let trace = als(&mut model, &obs, &cfg);
         prop_assert!(trace.final_objective() < 1e-8, "{}", trace.final_objective());

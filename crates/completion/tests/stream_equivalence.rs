@@ -8,7 +8,7 @@
 
 use cpr_completion::{
     als, als_reference, amn, amn_reference, init_positive, tucker_als, tucker_als_reference,
-    AlsConfig, AmnConfig, StopRule, TuckerConfig,
+    CompletionSpec, StopRule,
 };
 use cpr_tensor::{CpDecomp, SparseTensor, TuckerDecomp};
 use proptest::prelude::*;
@@ -85,9 +85,10 @@ proptest! {
         let rank = [1, 2, 3, 4, 8, 16][rank_pick];
         let dims = random_dims(seed);
         let obs = random_obs(&dims, frac, seed + 1);
-        let cfg = AlsConfig {
+        let cfg = CompletionSpec {
             lambda: 1e-6,
             stop: StopRule { max_sweeps: 4, tol: -1.0 },
+            ..Default::default()
         };
         let init = CpDecomp::random(&dims, rank, 0.0, 1.0, seed + 2);
         let run = |streamed: bool, threads: usize| {
@@ -108,19 +109,21 @@ proptest! {
         assert_trace_bitwise(&t1.objective, &t4.objective, "ALS threads trace");
     }
 
-    /// AMN: streamed == reference, bitwise, at 1 and 4 threads.
+    /// AMN: streamed == reference, bitwise, at 1 and 4 threads, over the
+    /// same ranks as ALS.
     #[test]
     fn amn_streamed_bitwise_matches_reference(
         seed in 0u64..1000,
-        rank_pick in 0usize..4,
+        rank_pick in 0usize..6,
     ) {
-        let rank = [1, 2, 3, 4][rank_pick];
+        let rank = [1, 2, 3, 4, 8, 16][rank_pick];
         let dims = random_dims(seed);
         let obs = random_obs(&dims, 0.4, seed + 1);
         let gm = (obs.values().iter().map(|v| v.ln()).sum::<f64>() / obs.nnz() as f64).exp();
-        let cfg = AmnConfig {
+        let cfg = CompletionSpec {
             lambda: 1e-6,
             stop: StopRule { max_sweeps: 4, tol: -1.0 },
+            ..Default::default()
         };
         let init = init_positive(&dims, rank, gm, seed + 2);
         let run = |streamed: bool, threads: usize| {
@@ -142,20 +145,27 @@ proptest! {
     }
 
     /// Tucker-ALS: streamed == reference, bitwise, at 1 and 4 threads
-    /// (factors, core, and traces).
+    /// (factors, core, and traces). One mode runs at rank 3, 4, 8 or 16
+    /// (the dynamic-rank path and every fixed kernel shape), the others
+    /// at rank 1 or 2.
     #[test]
     fn tucker_streamed_bitwise_matches_reference(
         seed in 0u64..1000,
         frac in 0.2..0.8f64,
+        wide_pick in 0usize..4,
     ) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5151);
         let order = rng.gen_range(2..=3usize);
         let dims: Vec<usize> = (0..order).map(|_| rng.gen_range(3..=6usize)).collect();
-        let ranks: Vec<usize> = (0..order).map(|_| rng.gen_range(1..=3usize)).collect();
+        let wide = rng.gen_range(0..order);
+        let ranks: Vec<usize> = (0..order)
+            .map(|j| if j == wide { [3, 4, 8, 16][wide_pick] } else { rng.gen_range(1..=2usize) })
+            .collect();
         let obs = random_obs(&dims, frac, seed + 1);
-        let cfg = TuckerConfig {
+        let cfg = CompletionSpec {
             lambda: 1e-6,
             stop: StopRule { max_sweeps: 3, tol: -1.0 },
+            ..Default::default()
         };
         let init = TuckerDecomp::random(&dims, &ranks, 0.1, 1.0, seed + 2);
         let run = |streamed: bool, threads: usize| {

@@ -451,10 +451,13 @@ mod tests {
     /// over fixed probes, out of domain along one numerical mode, along
     /// both, and in domain, with a categorical mode riding along as a point
     /// stencil. The base model is a seeded positive CP model rather than a
-    /// fit, because the fit's bits differ between the debug and release
-    /// profiles; the rank-1 factorizations and splines are fitted over it
-    /// as `fit` does. The constant was recorded before the extrapolated
-    /// corner sum moved onto `interpolate_corners`.
+    /// fit, so the pin checks the serve alone; the rank-1 factorizations
+    /// and splines are fitted over it as `fit` does. (A fit would give the
+    /// same bits in the debug and release profiles too, but this module's
+    /// training data draws through a constant-base `powf`, which optimized
+    /// builds rewrite as `exp2`.) The constant was recorded before the
+    /// extrapolated corner sum moved onto `interpolate_corners`, and holds
+    /// in both profiles.
     #[test]
     fn extrapolated_prediction_bits_are_pinned() {
         let space = ParamSpace::new(vec![

@@ -313,16 +313,7 @@ impl CprBuilder {
 
         let grid = self.space.grid_with_cells(&cells);
         let (mut obs, observed_cells) = bin_observations(&grid, data, loss)?;
-        // Per-mode masks of rows with at least one observation: stencils
-        // never interpolate toward fibers the optimizer saw nothing of.
-        let row_observed: Vec<Vec<bool>> = (0..grid.order())
-            .map(|m| {
-                obs.mode_index(m)
-                    .iter()
-                    .map(|ids| !ids.is_empty())
-                    .collect()
-            })
-            .collect();
+        let row_observed = observed_rows(&obs);
 
         // Initialize the decomposition the optimizer's model class needs.
         let dims = grid.dims();
@@ -391,6 +382,19 @@ impl CprBuilder {
             plan,
         })
     }
+}
+
+/// Per-mode masks of the rows with at least one observation, marked in one
+/// pass over the entries: stencils never interpolate toward fibers the
+/// optimizer saw nothing of.
+fn observed_rows(obs: &SparseTensor) -> Vec<Vec<bool>> {
+    let mut rows: Vec<Vec<bool>> = obs.dims().iter().map(|&n| vec![false; n]).collect();
+    for (_, idx, _) in obs.iter() {
+        for (mask, &i) in rows.iter_mut().zip(idx) {
+            mask[i as usize] = true;
+        }
+    }
+    rows
 }
 
 /// Bin observations into grid cells; tensor entries are per-cell means.
@@ -1117,14 +1121,6 @@ impl CprModel {
         let optimizer = Self::implied_optimizer(&decomp, loss);
         Self::validate_tags(&decomp, optimizer, loss)?;
         let grid = Self::validated_grid(&space, cells, &decomp)?;
-        let row_observed: Vec<Vec<bool>> = (0..grid.order())
-            .map(|m| {
-                obs.mode_index(m)
-                    .iter()
-                    .map(|ids| !ids.is_empty())
-                    .collect()
-            })
-            .collect();
         Ok(Self::assemble(
             space,
             grid,
@@ -1132,7 +1128,7 @@ impl CprModel {
             optimizer,
             loss,
             log_offset,
-            row_observed,
+            observed_rows(obs),
         ))
     }
 
@@ -1316,14 +1312,7 @@ impl CprModel {
     /// the streaming updater after warm-started refits). Invalidates and
     /// rebakes the [`PredictPlan`] — masks are part of the baked state.
     pub fn set_row_observed_from(&mut self, obs: &SparseTensor) {
-        self.row_observed = (0..self.grid.order())
-            .map(|m| {
-                obs.mode_index(m)
-                    .iter()
-                    .map(|ids| !ids.is_empty())
-                    .collect()
-            })
-            .collect();
+        self.row_observed = observed_rows(obs);
         self.plan = Arc::new(self.bake_plan());
     }
 
@@ -1419,6 +1408,35 @@ mod tests {
     use cpr_grid::ParamSpec;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The one-pass row masks equal the per-mode inverted index's
+    /// non-empty rows, on random sparse tensors of orders 1–5 that leave
+    /// some rows empty.
+    #[test]
+    fn observed_rows_match_the_mode_index() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..40 {
+            let order = rng.gen_range(1..=5usize);
+            let dims: Vec<usize> = (0..order).map(|_| rng.gen_range(1..=7usize)).collect();
+            let mut obs = SparseTensor::new(&dims);
+            let mut idx = vec![0usize; order];
+            for _ in 0..rng.gen_range(0..12usize) {
+                for (i, &n) in idx.iter_mut().zip(&dims) {
+                    *i = rng.gen_range(0..n);
+                }
+                obs.push(&idx, rng.gen::<f64>());
+            }
+            let masks = observed_rows(&obs);
+            for (m, mask) in masks.iter().enumerate() {
+                let expected: Vec<bool> = obs
+                    .mode_index(m)
+                    .iter()
+                    .map(|ids| !ids.is_empty())
+                    .collect();
+                assert_eq!(mask, &expected, "dims {dims:?} mode {m}");
+            }
+        }
+    }
 
     /// Separable two-parameter "execution time": t = 1e-3 * m^1.2 * n^0.8.
     fn separable_dataset(n_samples: usize, seed: u64) -> (ParamSpace, Dataset) {

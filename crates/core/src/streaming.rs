@@ -12,7 +12,7 @@
 use crate::dataset::Dataset;
 use crate::error::{CprError, Result};
 use crate::model::{CprBuilder, CprModel, Loss};
-use cpr_completion::{als_with_streams, build_streams, AlsConfig, Optimizer, StopRule, Trace};
+use cpr_completion::{als_with_streams, build_streams, CompletionSpec, Optimizer, StopRule, Trace};
 use cpr_grid::ParamSpace;
 use cpr_tensor::{ModeStream, SparseTensor};
 use std::collections::BTreeMap;
@@ -210,12 +210,13 @@ impl StreamingCpr {
         }
 
         let mut cp = self.model.cp().clone();
-        let cfg = AlsConfig {
+        let cfg = CompletionSpec {
             lambda: UPDATE_LAMBDA,
             stop: StopRule {
                 max_sweeps: sweeps,
                 tol: 1e-9,
             },
+            ..Default::default()
         };
         let trace = als_with_streams(&mut cp, &self.obs, &self.streams, &cfg);
         // Rebuild the public model with refreshed factors and masks; the
@@ -428,12 +429,13 @@ mod tests {
             }
         }
         // Refit equivalence: same warm start, cached streams vs fresh ones.
-        let cfg = cpr_completion::AlsConfig {
+        let cfg = cpr_completion::CompletionSpec {
             lambda: UPDATE_LAMBDA,
             stop: cpr_completion::StopRule {
                 max_sweeps: 5,
                 tol: -1.0,
             },
+            ..Default::default()
         };
         let obs = s.observations().clone();
         let mut warm_a = s.model().cp().clone();

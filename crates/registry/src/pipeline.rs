@@ -18,7 +18,8 @@
 //! * **Corrupt candidate bytes** — candidates are installed through the
 //!   same wire parse as a cold load; a parse failure rejects the install.
 //! * **Regression** — the holdout gate refuses candidates whose MLogQ
-//!   worsens beyond the configured slack.
+//!   worsens beyond the configured slack. It scores the parsed candidate,
+//!   the very model a swap installs.
 //! * **Repeated failure** — deterministic exponential-backoff retries up
 //!   to a budget, and a per-model circuit breaker (closed → open →
 //!   half-open, [`crate::CircuitBreaker`]) that stops burning workers on
@@ -1100,22 +1101,6 @@ fn fit_gate_install(
         }
     };
 
-    // Quality gate: candidate vs live plan on the reserved holdout.
-    let Some(live) = shared.registry.plan(&job.id) else {
-        return Attempt::Orphaned;
-    };
-    let ungated = holdout.is_empty();
-    if !ungated
-        && !gate_passes(
-            holdout,
-            &candidate.model().shared_plan(),
-            &live,
-            cfg.gate_slack,
-        )
-    {
-        return Attempt::GateRejected;
-    }
-
     // Install through the wire format — the same parse a cold load gets,
     // so a corrupt candidate is rejected, not served.
     let clean = serialize::to_bytes(candidate.model()).into_vec();
@@ -1125,6 +1110,16 @@ fn fit_gate_install(
         Ok(m) => m,
         Err(_) => return Attempt::CorruptInstall,
     };
+
+    // Quality gate on the reserved holdout: the parsed candidate, which
+    // is what a swap installs, against the live plan.
+    let Some(live) = shared.registry.plan(&job.id) else {
+        return Attempt::Orphaned;
+    };
+    let ungated = holdout.is_empty();
+    if !ungated && !gate_passes(holdout, &loaded.shared_plan(), &live, cfg.gate_slack) {
+        return Attempt::GateRejected;
+    }
     match shared.registry.swap_if_current(&job.id, loaded, &live) {
         SwapOutcome::Swapped => Attempt::Swapped {
             trainer: Box::new(candidate),

@@ -6,7 +6,7 @@
 
 mod common;
 
-use cpr_core::{CprBuilder, Dataset, StreamingCpr};
+use cpr_core::{holdout_metrics, serialize, CprBuilder, CprModel, Dataset, StreamingCpr};
 use cpr_grid::{ParamSpace, ParamSpec};
 use cpr_registry::{
     ModelId, ModelRegistry, PipelineConfig, RefitPipeline, RegistryError, ShedPolicy,
@@ -149,6 +149,96 @@ fn gate_rejection_keeps_the_original_plan_bitwise() {
         assert_eq!(
             committed.predict(&x).to_bits(),
             original.predict(&x).to_bits()
+        );
+    }
+}
+
+/// Telemetry over the lower eighth of `m` only, so the rows of the upper
+/// cells see no sample and the trained model's row masks are not all
+/// true.
+fn lower_m_telemetry(n: usize, seed: u64) -> Dataset {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut data = Dataset::new();
+    for _ in 0..n {
+        let m = 32.0 * 8.0_f64.powf(rng.gen::<f64>());
+        let nn = 32.0 * 64.0_f64.powf(rng.gen::<f64>());
+        data.push(vec![m, nn], 1e-4 * m.powf(1.3) * nn.powf(0.7));
+    }
+    data
+}
+
+/// The gate scores the model it installs: the candidate parsed back from
+/// its wire bytes, not the trainer's in-memory model. The test rebuilds
+/// the one refit outside the pipeline, scores both forms of the candidate
+/// on the holdout the pipeline reserves, and sets the gate's threshold
+/// between the two scores, so the verdict tells which form was scored.
+#[test]
+fn gate_scores_the_model_it_installs() {
+    let cfg = quick_cfg();
+    let trainer = {
+        let builder = CprBuilder::new(space())
+            .cells_per_dim(6)
+            .rank(2)
+            .regularization(1e-7)
+            .seed(8);
+        StreamingCpr::fit(&builder, &lower_m_telemetry(80, 8)).unwrap()
+    };
+    let batch = lower_m_telemetry(120, 80);
+
+    // The pipeline's split: every fifth sample (holdout_frac 0.2) goes to
+    // the holdout, the rest trains.
+    let every = (1.0 / cfg.holdout_frac).round() as usize;
+    let (mut holdout, mut train) = (Vec::new(), Dataset::new());
+    for (i, (x, y)) in batch.iter().enumerate() {
+        if (i + 1) % every == 0 {
+            holdout.push((x.to_vec(), y));
+        } else {
+            train.push(x.to_vec(), y);
+        }
+    }
+    let mut candidate = trainer.clone();
+    candidate.update(&train, cfg.sweep_budget).unwrap();
+    let parsed = serialize::from_bytes(&serialize::to_bytes(candidate.model())).unwrap();
+    let score = |model: &CprModel| {
+        holdout_metrics(|x| model.predict(x), holdout.iter().map(|(x, y)| (x, *y)))
+            .unwrap()
+            .mlogq
+    };
+    let (live, in_memory, installed) = (
+        score(trainer.model()),
+        score(candidate.model()),
+        score(&parsed),
+    );
+    assert_ne!(
+        in_memory, installed,
+        "the candidate's two forms must score differently for the verdict to tell them apart"
+    );
+    // A candidate passes iff `score <= live · (1 + slack) + 1e-12`; put
+    // that threshold halfway between the two scores.
+    let threshold = 0.5 * (in_memory + installed);
+    let gate_slack = (threshold - 1e-12) / live - 1.0;
+    let passes = installed < in_memory;
+
+    let registry = Arc::new(ModelRegistry::new());
+    let pipeline = RefitPipeline::new(registry.clone(), PipelineConfig { gate_slack, ..cfg });
+    let id = ModelId::new("gemm", "frontier", "time");
+    pipeline.track(id.clone(), trainer.clone());
+    pipeline.submit(&id, &batch).unwrap();
+    pipeline.wait_idle();
+
+    let stats = pipeline.stats();
+    assert_eq!(
+        (stats.swapped, stats.gate_rejected),
+        (passes as u64, !passes as u64),
+        "the verdict must follow the installed model's score {installed} \
+         (in-memory {in_memory}, live {live})"
+    );
+    let served = if passes { &parsed } else { trainer.model() };
+    for (x, _) in &holdout {
+        assert_eq!(
+            registry.predict(&id, x).unwrap().to_bits(),
+            served.predict(x).to_bits(),
+            "the served plan must be the one the gate scored at {x:?}"
         );
     }
 }
