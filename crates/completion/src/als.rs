@@ -15,9 +15,7 @@
 
 use crate::convergence::Trace;
 use crate::optimizer::CompletionSpec;
-use crate::sweep::{
-    accumulate, build_streams, foreign_factors, fused_quadratic_loss, z_source, Gathered, RowSystem,
-};
+use crate::sweep::{build_streams, fused_quadratic_loss, GatherLayout, RowSystem};
 use cpr_tensor::{CpDecomp, ModeIndex, ModeStream, SparseTensor};
 use rayon::prelude::*;
 
@@ -26,12 +24,13 @@ use rayon::prelude::*;
 /// ridge λ (the paper sweeps 1e-6..1e-3).
 ///
 /// This is the **streamed** sweep: per-mode [`ModeStream`] layouts are
-/// built once, each observation's leave-one-out vector is gathered directly
-/// from the foreign factor rows its stream slot names (folded in the
-/// canonical order, see [`crate::sweep`]), and the normal equations
-/// accumulate in the row kernel all optimizers share. The retained naive
-/// path [`als_reference`] computes the same fit — proptests pin the two
-/// bitwise-equal on random problems.
+/// built once, each observation's leave-one-out vector is gathered from
+/// one packed copy of the factors through per-observation row offsets
+/// built once per call (folded in the canonical order, see
+/// [`crate::sweep`]), and the normal equations accumulate in the row
+/// kernel all optimizers share. The retained naive path [`als_reference`]
+/// computes the same fit — proptests pin the two bitwise-equal on random
+/// problems.
 ///
 /// The per-sweep objective is **fused into the last mode update**: every
 /// observation belongs to exactly one row of the final mode, and once that
@@ -49,6 +48,10 @@ pub fn als(cp: &mut CpDecomp, obs: &SparseTensor, spec: &CompletionSpec) -> Trac
 /// entry point: an online model keeps its streams cached and extends them
 /// incrementally on append instead of rebuilding `d` counting sorts per
 /// refit. `streams[m]` must be `obs.mode_stream(m)` for every mode.
+///
+/// A zero sweep budget returns an empty, unconverged trace at once, with
+/// `cp` untouched: no objective, no gather layout (the refit pipeline's
+/// `absorb` runs this after every gate rejection).
 pub fn als_with_streams(
     cp: &mut CpDecomp,
     obs: &SparseTensor,
@@ -69,12 +72,16 @@ pub fn als_with_streams(
     }
 
     let mut trace = Trace::default();
+    if spec.stop.max_sweeps == 0 {
+        return trace;
+    }
+    let mut layout = GatherLayout::new(cp, obs);
     let mut prev = objective(cp, obs, spec.lambda);
     for _sweep in 0..spec.stop.max_sweeps {
         let mut data_loss = 0.0;
         for (mode, stream) in streams.iter().enumerate() {
             let fused = mode + 1 == d;
-            let loss = update_mode_streamed(cp, stream, mode, rank, spec.lambda, fused);
+            let loss = update_mode_streamed(cp, &mut layout, stream, rank, spec.lambda, fused);
             if fused {
                 data_loss = loss;
             }
@@ -158,29 +165,28 @@ fn finish_row(
     )
 }
 
-/// One streamed mode update: solve all row subproblems of `mode` in
-/// parallel, writing new rows directly into the factor. The row loop walks
-/// the mode's packed stream (contiguous foreign indices + values) and
-/// gathers each `z` from the frozen factors into the shared row kernel.
-/// Returns the post-update data loss `Σ (t̂ - t)²` over the mode's entries
-/// when `fused` (the last mode of a sweep), else 0.
+/// One streamed mode update: solve all row subproblems of the stream's
+/// mode in parallel, writing new rows directly into the factor, then copy
+/// the factor into the gather pack. The row loop walks the mode's packed
+/// stream (values) and gathers each `z` from the pack into the shared row
+/// kernel. Returns the post-update data loss `Σ (t̂ - t)²` over the mode's
+/// entries when `fused` (the last mode of a sweep), else 0.
 fn update_mode_streamed(
     cp: &mut CpDecomp,
+    layout: &mut GatherLayout,
     stream: &ModeStream,
-    mode: usize,
     rank: usize,
     lambda: f64,
     fused: bool,
 ) -> f64 {
-    // Borrow-split: move the free factor out, restore afterwards; the
-    // frozen modes are read in place (see `sweep::ZSource`).
-    let mut factor = cp.take_factor(mode);
-    let frozen: &CpDecomp = cp;
-    let foreign = foreign_factors(frozen, mode);
-    let src = z_source(&foreign, mode);
+    // The row solves read the frozen modes from the pack alone, so the
+    // free factor is written in place.
+    let mode = stream.mode();
+    let gather = layout.mode(stream);
     let vals = stream.values();
 
-    let row_losses: Vec<f64> = factor
+    let row_losses: Vec<f64> = cp
+        .factor_mut(mode)
         .as_mut_slice()
         .par_chunks_mut(rank)
         .enumerate()
@@ -198,13 +204,10 @@ fn update_mode_streamed(
                     row.fill(0.0);
                     return 0.0;
                 }
+                let zs = gather.row(rng.clone());
                 let row_vals = &vals[rng];
                 let mut t2 = 0.0;
-                accumulate(
-                    Gathered {
-                        src,
-                        foreign: stream.row_foreign(i),
-                    },
+                zs.accumulate(
                     row_vals.len(),
                     |k, _| {
                         let t = row_vals[k];
@@ -219,7 +222,7 @@ fn update_mode_streamed(
             },
         )
         .collect();
-    cp.set_factor(mode, factor);
+    layout.refresh(mode, cp.factor(mode));
     // Sequential row-order sum: deterministic regardless of thread count.
     row_losses.iter().sum()
 }
@@ -442,6 +445,26 @@ mod tests {
         );
         let norm = |cp: &CpDecomp| cp.factors().iter().map(|f| f.fro_norm_sq()).sum::<f64>();
         assert!(norm(&strong) < norm(&weak));
+    }
+
+    #[test]
+    fn zero_sweep_budget_does_nothing() {
+        let truth = CpDecomp::random(&[5, 4, 3], 2, 0.5, 1.5, 50);
+        let obs = sampled_obs(&truth, 0.6, 51);
+        let mut model = CpDecomp::random(&[5, 4, 3], 2, 0.0, 1.0, 52);
+        let before = model.clone();
+        let cfg = CompletionSpec {
+            stop: StopRule {
+                max_sweeps: 0,
+                tol: 1e-9,
+            },
+            ..Default::default()
+        };
+        let trace = als_with_streams(&mut model, &obs, &build_streams(&obs), &cfg);
+        assert!(trace.objective.is_empty() && !trace.converged);
+        for m in 0..model.order() {
+            assert_eq!(model.factor(m), before.factor(m), "factor {m} moved");
+        }
     }
 
     #[test]

@@ -24,10 +24,7 @@
 
 use crate::convergence::Trace;
 use crate::optimizer::CompletionSpec;
-use crate::sweep::{
-    accumulate, accumulate_dyn, build_streams, fill_zcache, foreign_factors, z_source, Cached,
-    Gathered,
-};
+use crate::sweep::{accumulate, accumulate_dyn, build_streams, Cached, GatherLayout};
 use cpr_tensor::linalg::solve_spd_jittered_into;
 use cpr_tensor::{CpDecomp, Matrix, ModeIndex, ModeStream, SparseTensor};
 use rayon::prelude::*;
@@ -102,15 +99,17 @@ fn check_amn_inputs(cp: &CpDecomp, obs: &SparseTensor) {
 /// objective after each outer sweep.
 ///
 /// This is the **streamed** sweep (see [`crate::als::als`]): per-row
-/// `z`-caches are gathered directly from the foreign factor rows, the
-/// Newton systems accumulate in the shared row kernel of [`crate::sweep`],
-/// and the pre-logged observations are read slot-contiguously from
-/// per-mode [`ModeStream`] layouts. The retained naive path
-/// [`amn_reference`] is pinned bitwise-equal by proptests.
+/// `z`-caches are gathered from one packed copy of the factors through
+/// per-observation row offsets built once per call, the Newton systems
+/// accumulate in the shared row kernel of [`crate::sweep`], and the
+/// pre-logged observations are read slot-contiguously from per-mode
+/// [`ModeStream`] layouts. The retained naive path [`amn_reference`] is
+/// pinned bitwise-equal by proptests.
 pub fn amn(cp: &mut CpDecomp, obs: &SparseTensor, spec: &CompletionSpec) -> Trace {
     check_amn_inputs(cp, obs);
     let d = cp.order();
     let streams = build_streams(obs);
+    let mut layout = GatherLayout::new(cp, obs);
     // Pre-log the observations once, slot-aligned per mode so each row's
     // Newton solver reads its residual targets contiguously.
     let logs: Vec<Vec<f64>> = streams
@@ -131,7 +130,15 @@ pub fn amn(cp: &mut CpDecomp, obs: &SparseTensor, spec: &CompletionSpec) -> Trac
         let mut data_loss = 0.0;
         for (mode, stream) in streams.iter().enumerate() {
             let fused = mode + 1 == d;
-            let loss = update_mode_streamed(cp, stream, &logs[mode], mode, eta, spec.lambda, fused);
+            let loss = update_mode_streamed(
+                cp,
+                &mut layout,
+                stream,
+                &logs[mode],
+                eta,
+                spec.lambda,
+                fused,
+            );
             if fused {
                 data_loss = loss;
             }
@@ -250,26 +257,26 @@ fn fused_row_loss(zcache: &[f64], logs: &[f64], rank: usize, u: &[f64]) -> f64 {
     loss
 }
 
-/// Newton-solve every row subproblem of one mode (rows are independent),
-/// updating the factor in place, with the `z`-caches gathered from the
-/// frozen factors and the log targets sliced from the mode's slot-aligned
-/// stream. When `fused`, returns the post-update barrier-free data loss
-/// over the mode's entries, else 0.
+/// Newton-solve every row subproblem of the stream's mode (rows are
+/// independent), updating the factor in place, with the `z`-caches
+/// gathered from the pack and the log targets sliced from the mode's
+/// slot-aligned stream; then copy the factor into the pack. When `fused`,
+/// returns the post-update barrier-free data loss over the mode's entries,
+/// else 0.
 fn update_mode_streamed(
     cp: &mut CpDecomp,
+    layout: &mut GatherLayout,
     stream: &ModeStream,
     logs: &[f64],
-    mode: usize,
     eta: f64,
     lambda: f64,
     fused: bool,
 ) -> f64 {
     let rank = cp.rank();
-    let mut factor = cp.take_factor(mode);
-    let frozen: &CpDecomp = cp;
-    let foreign = foreign_factors(frozen, mode);
-    let src = z_source(&foreign, mode);
-    let row_losses: Vec<f64> = factor
+    let mode = stream.mode();
+    let gather = layout.mode(stream);
+    let row_losses: Vec<f64> = cp
+        .factor_mut(mode)
         .as_mut_slice()
         .par_chunks_mut(rank)
         .enumerate()
@@ -281,11 +288,9 @@ fn update_mode_streamed(
                     return 0.0; // unobserved fiber: keep previous (positive) row
                 }
                 // Fill the z cache once: frozen factors are fixed all row.
-                let gathered = Gathered {
-                    src,
-                    foreign: stream.row_foreign(i),
-                };
-                fill_zcache(gathered, rng.len(), rank, &mut s.zcache);
+                gather
+                    .row(rng.clone())
+                    .fill_zcache(rng.len(), rank, &mut s.zcache);
                 let row_logs = &logs[rng];
                 newton_row(s, row_logs, eta, lambda, u, false);
                 if !fused {
@@ -295,7 +300,7 @@ fn update_mode_streamed(
             },
         )
         .collect();
-    cp.set_factor(mode, factor);
+    layout.refresh(mode, cp.factor(mode));
     row_losses.iter().sum()
 }
 

@@ -20,9 +20,11 @@
 //! Every optimizer takes one [`CompletionSpec`] (ridge λ, stop rule).
 //!
 //! Every sweep optimizer runs **streamed**: packed per-mode observation
-//! layouts ([`cpr_tensor::ModeStream`]), leave-one-out vectors gathered
-//! directly from the foreign factor rows in the canonical fold order, and
-//! one rank-monomorphized row kernel that accumulates the ALS and
+//! layouts ([`cpr_tensor::ModeStream`]), CP leave-one-out vectors
+//! gathered from one packed copy of the factors
+//! ([`cpr_tensor::PackedFactors`]) through per-observation row offsets
+//! and folded in the canonical order by an order-monomorphized kernel,
+//! and one rank-monomorphized row kernel that accumulates the ALS and
 //! Tucker-ALS normal equations and the AMN Newton systems alike (see
 //! [`sweep`]). Each keeps a retained naive reference path
 //! (`als_reference`, `amn_reference`, `tucker_als_reference`) that the

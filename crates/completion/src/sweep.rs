@@ -1,32 +1,39 @@
 //! Streamed sweep infrastructure shared by the completion optimizers:
-//! per-mode observation streams, leave-one-out `z` sourcing, and the one
+//! per-mode observation streams, leave-one-out `z` gathers, and the one
 //! row kernel every optimizer's row subproblem runs.
 //!
 //! This is the fit-side analog of the serving layer's compiled query path:
 //! instead of chasing `entries[e] → indices[e*d..] → factor rows` per
-//! observation, a sweep reads flat [`ModeStream`] arrays and gathers each
-//! observation's `z` straight from the `d − 1` foreign factor rows named by
-//! the stream's materialized foreign indices (`ZSource`). The gather
-//! folds the rows in exactly the order of
-//! [`CpDecomp::leave_one_out_canonical`], so every `z` is the canonical one
-//! bit-for-bit at every order.
+//! observation, a CP sweep reads flat [`ModeStream`] arrays and gathers
+//! each observation's `z` from one buffer holding every factor end to end
+//! ([`PackedFactors`], refreshed after each mode update). A
+//! `GatherLayout`, built once per fit, stores for every observation the
+//! element offsets of its `d` factor rows in that buffer; a stream slot
+//! reaches them through its entry id, so a row read is one offset load
+//! and one rank-wide slice. The gather folds the `d − 1` foreign rows in
+//! exactly the order of [`CpDecomp::leave_one_out_canonical`], so every
+//! `z` is the canonical one bit-for-bit at every order. The fold is
+//! monomorphized on the order `d ∈ 1..=9` (foreign counts 0–8; the
+//! paper's largest, KRIPKE, has order 9); higher orders run the same fold
+//! over a run-time count.
 //!
 //! Every optimizer solves the same Eq. 3 row subproblem by accumulating one
 //! weighted Gram system over the row's observations: ALS the normal
 //! equations `Σ z zᵀ`, `Σ t·z`; AMN the Newton system `Σ h·z zᵀ`, `Σ g·z`;
 //! Tucker-ALS the normal equations over core-contracted `z`. One kernel,
 //! `accumulate`, builds all three: it takes where each slot's `z` comes
-//! from (`Gathered` or `Cached`) and a per-slot coefficient pair. The
+//! from (a `Gather` or `Cached`) and a per-slot coefficient pair. The
 //! ranks the paper sweeps cluster at small powers of two, so the kernel —
 //! like the `z`-cache fill — is monomorphized for `R ∈ {2, 4, 8, 16}` with
 //! fixed-size-array loops that fully unroll, falling back to a
-//! dynamic-rank path otherwise. Every fixed shape performs the exact
-//! per-element operation sequence of the dynamic one, so the dispatch is
-//! bitwise invisible — the determinism contract the streamed-vs-reference
-//! proptests pin.
+//! dynamic-rank path otherwise. Every fixed shape, of rank or of order,
+//! performs the exact per-element operation sequence of the dynamic one,
+//! so the dispatch is bitwise invisible — the determinism contract the
+//! streamed-vs-reference proptests pin.
 
 use cpr_tensor::linalg::solve_spd_jittered_into;
-use cpr_tensor::{CpDecomp, Matrix, ModeStream, SparseTensor};
+use cpr_tensor::{CpDecomp, Matrix, ModeStream, PackedFactors, SparseTensor};
+use std::ops::Range;
 
 /// Build the per-mode observation streams of a fit (one counting-sort pass
 /// per mode; shared by ALS/AMN/Tucker-ALS and cached across streaming
@@ -35,53 +42,182 @@ pub fn build_streams(obs: &SparseTensor) -> Vec<ModeStream> {
     (0..obs.order()).map(|m| obs.mode_stream(m)).collect()
 }
 
-/// The foreign factors of one mode update: every factor but `mode`'s, in
-/// ascending mode order, as flat row-major slices (stride = rank). Slot
-/// `k` of a mode's stream names its row of foreign factor `j` at
-/// `foreign[k * (d − 1) + j]`. `frozen` may have `mode`'s factor taken.
-pub(crate) fn foreign_factors(frozen: &CpDecomp, mode: usize) -> Vec<&[f64]> {
-    (0..frozen.order())
-        .filter(|&j| j != mode)
-        .map(|j| frozen.factor(j).as_slice())
-        .collect()
+/// The leave-one-out gather layout of one CP fit: every factor packed end
+/// to end, and for every observation the element offsets of its `d`
+/// factor rows in the pack (`d` per entry, entry-major, mode order). A
+/// mode update reaches a slot's foreign rows through the slot's entry id
+/// and skips the free mode's own row. The offsets are built once per fit;
+/// a sweep refreshes a mode's packed rows right after updating the mode
+/// ([`Self::refresh`]), so the pack always holds the Gauss-Seidel state
+/// the next mode's row solves read.
+pub(crate) struct GatherLayout {
+    packed: PackedFactors,
+    offsets: Vec<u32>,
 }
 
-/// Where a mode's leave-one-out vectors come from: direct gathers of the
-/// foreign factor rows (see [`foreign_factors`]).
-///
-/// Every variant produces the canonical `z` of
-/// [`CpDecomp::leave_one_out_canonical`] bit-for-bit.
-#[derive(Clone, Copy)]
-pub(crate) enum ZSource<'a> {
-    /// Order-1 model: empty product.
-    Ones,
-    /// Order 2: `z` is a copy of the single foreign factor's row.
-    One(&'a [f64]),
-    /// Order 3: `z` is the Hadamard product of the two foreign factors'
-    /// rows, ascending mode order.
-    Two(&'a [f64], &'a [f64]),
-    /// Order ≥ 4: the `d − 1` foreign factors and the free mode `m` (the
-    /// number of foreign factors before it). `z = P ⊙ S` with `P` the
-    /// ascending left fold of foreign factors `0..m` and `S` the descending
-    /// right fold of `m..d−1`, each from an all-ones start — the canonical
-    /// association, recomputed per observation in `O(dR)` from rows that
-    /// stay cache-resident.
-    Fold(&'a [&'a [f64]], usize),
-}
+impl GatherLayout {
+    /// Pack `cp`'s factors and turn `obs`' multi-indices into row offsets.
+    /// Offsets are stored rather than computed per read (`base + i·R` in
+    /// the hot loop costs more than the load), and per entry rather than
+    /// per mode and slot: all `d` modes share one table `d − 1` times
+    /// smaller, which a refit builds in microseconds instead of most of a
+    /// millisecond. Panics when the pack is too large for `u32` offsets.
+    pub fn new(cp: &CpDecomp, obs: &SparseTensor) -> Self {
+        let packed = cp.packed();
+        assert!(
+            packed.as_slice().len() <= u32::MAX as usize,
+            "CP factors too large for u32 gather offsets"
+        );
+        let (d, rank) = (cp.order(), cp.rank());
+        let starts: Vec<usize> = (0..d).map(|j| packed.row_start(j, 0)).collect();
+        let mut offsets = Vec::with_capacity(obs.nnz() * d);
+        for e in 0..obs.nnz() {
+            let rows = obs.index(e).iter().zip(&starts);
+            offsets.extend(rows.map(|(&i, &start)| (start + i as usize * rank) as u32));
+        }
+        Self { packed, offsets }
+    }
 
-/// Pick the `z` source of free mode `mode` over its foreign factors.
-pub(crate) fn z_source<'a>(foreign: &'a [&'a [f64]], mode: usize) -> ZSource<'a> {
-    match *foreign {
-        [] => ZSource::Ones,
-        [f0] => ZSource::One(f0),
-        [f0, f1] => ZSource::Two(f0, f1),
-        _ => ZSource::Fold(foreign, mode),
+    /// The gather of `stream`'s mode over all its slots (cut to one row
+    /// with [`Gather::row`]).
+    pub fn mode<'a>(&'a self, stream: &'a ModeStream) -> Gather<'a> {
+        Gather {
+            packed: self.packed.as_slice(),
+            offsets: &self.offsets,
+            entries: stream.entry_ids(),
+            d: self.packed.order(),
+            free: stream.mode(),
+        }
+    }
+
+    /// Copy mode `mode`'s updated factor into the pack.
+    pub fn refresh(&mut self, mode: usize, factor: &Matrix) {
+        self.packed.refresh_mode(mode, factor);
     }
 }
 
-/// Where slot `k`'s `z` comes from in [`accumulate`] and [`fill_zcache`]:
-/// gathered from the foreign factor rows ([`Gathered`]) or read from a
-/// materialized row cache ([`Cached`]).
+/// The order of a [`Gather`] that is known only at run time.
+const ANY_ORDER: usize = usize::MAX;
+
+/// Slot `k`'s `z` gathered from the packed factors: the rows at the
+/// offsets of the slot's entry, all but the free mode's, folded around
+/// the free mode. `D` is the order `d` as a compile-time constant, or
+/// [`ANY_ORDER`].
+#[derive(Clone, Copy)]
+pub(crate) struct Gather<'a, const D: usize = ANY_ORDER> {
+    packed: &'a [f64],
+    offsets: &'a [u32],
+    /// Entry id of each slot.
+    entries: &'a [u32],
+    d: usize,
+    free: usize,
+}
+
+impl<'a> Gather<'a> {
+    /// The gather of the row whose stream slots are `slots`.
+    pub fn row(self, slots: Range<usize>) -> Self {
+        Self {
+            entries: &self.entries[slots],
+            ..self
+        }
+    }
+
+    /// This gather with its order as a constant.
+    fn with_order<const D: usize>(self) -> Gather<'a, D> {
+        debug_assert_eq!(self.d, D);
+        Gather {
+            packed: self.packed,
+            offsets: self.offsets,
+            entries: self.entries,
+            d: D,
+            free: self.free,
+        }
+    }
+
+    /// [`accumulate`] over the row's `n` gathered `z`, dispatched on the
+    /// order (then, inside, on the rank).
+    pub fn accumulate(
+        self,
+        n: usize,
+        coeffs: impl FnMut(usize, &[f64]) -> Option<(f64, f64)>,
+        gram: &mut [f64],
+        rhs: &mut [f64],
+        z: &mut [f64],
+    ) -> bool {
+        match self.d {
+            1 => accumulate(self.with_order::<1>(), n, coeffs, gram, rhs, z),
+            2 => accumulate(self.with_order::<2>(), n, coeffs, gram, rhs, z),
+            3 => accumulate(self.with_order::<3>(), n, coeffs, gram, rhs, z),
+            4 => accumulate(self.with_order::<4>(), n, coeffs, gram, rhs, z),
+            5 => accumulate(self.with_order::<5>(), n, coeffs, gram, rhs, z),
+            6 => accumulate(self.with_order::<6>(), n, coeffs, gram, rhs, z),
+            7 => accumulate(self.with_order::<7>(), n, coeffs, gram, rhs, z),
+            8 => accumulate(self.with_order::<8>(), n, coeffs, gram, rhs, z),
+            9 => accumulate(self.with_order::<9>(), n, coeffs, gram, rhs, z),
+            _ => accumulate(self, n, coeffs, gram, rhs, z),
+        }
+    }
+
+    /// Fill the row's `z`-cache (`len * rank` contiguous, one `z` per slot)
+    /// — what AMN's Newton iterations re-read all row. Dispatched on the
+    /// order like [`Self::accumulate`], then on the rank like
+    /// [`accumulate`].
+    pub fn fill_zcache(self, len: usize, rank: usize, zcache: &mut Vec<f64>) {
+        match self.d {
+            1 => self.with_order::<1>().fill(len, rank, zcache),
+            2 => self.with_order::<2>().fill(len, rank, zcache),
+            3 => self.with_order::<3>().fill(len, rank, zcache),
+            4 => self.with_order::<4>().fill(len, rank, zcache),
+            5 => self.with_order::<5>().fill(len, rank, zcache),
+            6 => self.with_order::<6>().fill(len, rank, zcache),
+            7 => self.with_order::<7>().fill(len, rank, zcache),
+            8 => self.with_order::<8>().fill(len, rank, zcache),
+            9 => self.with_order::<9>().fill(len, rank, zcache),
+            _ => self.fill(len, rank, zcache),
+        }
+    }
+}
+
+impl<const D: usize> Gather<'_, D> {
+    /// The row offsets of slot `k`'s entry (`D` of them when `D` is fixed),
+    /// the free mode's included.
+    #[inline(always)]
+    fn slot(&self, k: usize) -> &[u32] {
+        let d = if D == ANY_ORDER { self.d } else { D };
+        let start = self.entries[k] as usize * d;
+        &self.offsets[start..start + d]
+    }
+
+    /// [`Gather::fill_zcache`] at this order.
+    fn fill(self, len: usize, rank: usize, zcache: &mut Vec<f64>) {
+        zcache.clear();
+        zcache.reserve(len * rank);
+        match rank {
+            2 => self.fill_fixed::<2>(len, zcache),
+            4 => self.fill_fixed::<4>(len, zcache),
+            8 => self.fill_fixed::<8>(len, zcache),
+            16 => self.fill_fixed::<16>(len, zcache),
+            _ => {
+                for k in 0..len {
+                    let start = zcache.len();
+                    zcache.resize(start + rank, 0.0);
+                    self.dynamic(k, &mut zcache[start..]);
+                }
+            }
+        }
+    }
+
+    #[inline]
+    fn fill_fixed<const R: usize>(self, len: usize, zcache: &mut Vec<f64>) {
+        for k in 0..len {
+            zcache.extend_from_slice(&self.fixed::<R>(k));
+        }
+    }
+}
+
+/// Where slot `k`'s `z` comes from in [`accumulate`]: gathered from the
+/// packed factor rows ([`Gather`]) or read from a materialized row cache
+/// ([`Cached`]).
 pub(crate) trait SlotZ {
     /// Slot `k`'s `z` at a compile-time rank.
     fn fixed<const R: usize>(&self, k: usize) -> [f64; R];
@@ -91,67 +227,52 @@ pub(crate) trait SlotZ {
     fn dynamic<'s>(&'s self, k: usize, z: &'s mut [f64]) -> &'s [f64];
 }
 
-/// `z` gathered through a [`ZSource`] from the foreign factor rows a row's
-/// stream slots name (`foreign` is the row's slot slice of a
-/// [`ModeStream`]).
-#[derive(Clone, Copy)]
-pub(crate) struct Gathered<'a> {
-    pub src: ZSource<'a>,
-    pub foreign: &'a [u32],
-}
-
-impl SlotZ for Gathered<'_> {
+/// The canonical fold: `S` descending over the rows of the modes after
+/// the free one from an all-ones start, `P` ascending over those before it
+/// from an all-ones start, then `P ⊙ S` — with an empty fold skipped, as
+/// [`CpDecomp::leave_one_out_canonical`] skips it.
+impl<const D: usize> SlotZ for Gather<'_, D> {
     #[inline(always)]
     fn fixed<const R: usize>(&self, k: usize) -> [f64; R] {
-        let foreign = self.foreign;
-        let mut z = [1.0f64; R];
-        match self.src {
-            ZSource::Ones => {}
-            ZSource::One(f0) => {
-                let i0 = foreign[k] as usize;
-                z.copy_from_slice(&f0[i0 * R..(i0 + 1) * R]);
-            }
-            ZSource::Two(f0, f1) => {
-                let i0 = foreign[2 * k] as usize;
-                let i1 = foreign[2 * k + 1] as usize;
-                // Plain range-indexed slices on purpose — the
-                // array-conversion form (`try_into`) nudges LLVM into the
-                // SLP shuffle pattern (see the kernel-shape notes on
-                // `accumulate`).
-                let r0 = &f0[i0 * R..(i0 + 1) * R];
-                let r1 = &f1[i1 * R..(i1 + 1) * R];
+        let o = self.slot(k);
+        let (d, free) = (o.len(), self.free);
+        // Plain range-indexed slices on purpose — the array-conversion
+        // form (`try_into`) nudges LLVM into the SLP shuffle pattern (see
+        // the kernel-shape notes on `accumulate`).
+        let row = |j: usize| {
+            let at = o[j] as usize;
+            &self.packed[at..at + R]
+        };
+        // Both folds loop over all `d` modes and test each against the
+        // free one, rather than looping over `free + 1..d` and `0..free`:
+        // at a fixed order the constant trip counts unroll fully, and each
+        // test takes the same branch for every slot of a mode update. The
+        // run-time trip counts left one loop step per row, about 8% of the
+        // six-app fit.
+        let mut s = [1.0f64; R];
+        for j in (0..d).rev() {
+            if j > free {
+                let u = row(j);
                 for r in 0..R {
-                    z[r] = r0[r] * r1[r];
+                    s[r] *= u[r];
                 }
             }
-            ZSource::Fold(factors, split) => {
-                let fd = factors.len();
-                let idx = &foreign[k * fd..(k + 1) * fd];
-                let row = |j: usize| {
-                    let i = idx[j] as usize;
-                    &factors[j][i * R..(i + 1) * R]
-                };
-                let mut s = [1.0f64; R];
-                for j in (split..fd).rev() {
-                    let u = row(j);
-                    for r in 0..R {
-                        s[r] *= u[r];
-                    }
+        }
+        if free == 0 {
+            return s;
+        }
+        let mut z = [1.0f64; R];
+        for j in 0..d {
+            if j < free {
+                let u = row(j);
+                for r in 0..R {
+                    z[r] *= u[r];
                 }
-                if split == 0 {
-                    return s;
-                }
-                for j in 0..split {
-                    let u = row(j);
-                    for r in 0..R {
-                        z[r] *= u[r];
-                    }
-                }
-                if split < fd {
-                    for r in 0..R {
-                        z[r] *= s[r];
-                    }
-                }
+            }
+        }
+        if free + 1 < d {
+            for r in 0..R {
+                z[r] *= s[r];
             }
         }
         z
@@ -159,45 +280,26 @@ impl SlotZ for Gathered<'_> {
 
     #[inline]
     fn dynamic<'s>(&'s self, k: usize, z: &'s mut [f64]) -> &'s [f64] {
-        let (foreign, rank) = (self.foreign, z.len());
-        match self.src {
-            ZSource::Ones => z.fill(1.0),
-            ZSource::One(f0) => {
-                let i0 = foreign[k] as usize;
-                z.copy_from_slice(&f0[i0 * rank..(i0 + 1) * rank]);
+        // Element-major so no second rank-wide buffer is needed: each
+        // element's fold is independent, so the per-element operation
+        // sequence is the fixed-rank one.
+        let o = self.slot(k);
+        let (left, right) = (&o[..self.free], &o[self.free + 1..]);
+        for (r, out) in z.iter_mut().enumerate() {
+            let at = |at: u32| self.packed[at as usize + r];
+            let mut s = 1.0f64;
+            for &a in right.iter().rev() {
+                s *= at(a);
             }
-            ZSource::Two(f0, f1) => {
-                let i0 = foreign[2 * k] as usize;
-                let i1 = foreign[2 * k + 1] as usize;
-                let r0 = &f0[i0 * rank..(i0 + 1) * rank];
-                let r1 = &f1[i1 * rank..(i1 + 1) * rank];
-                for ((o, &a), &b) in z.iter_mut().zip(r0).zip(r1) {
-                    *o = a * b;
-                }
+            if left.is_empty() {
+                *out = s;
+                continue;
             }
-            ZSource::Fold(factors, split) => {
-                // Element-major so no second rank-wide buffer is needed:
-                // each element's fold is independent, so the per-element
-                // operation sequence is the fixed-rank one.
-                let fd = factors.len();
-                let idx = &foreign[k * fd..(k + 1) * fd];
-                for (r, o) in z.iter_mut().enumerate() {
-                    let at = |j: usize| factors[j][idx[j] as usize * rank + r];
-                    let mut s = 1.0f64;
-                    for j in (split..fd).rev() {
-                        s *= at(j);
-                    }
-                    if split == 0 {
-                        *o = s;
-                        continue;
-                    }
-                    let mut p = 1.0f64;
-                    for j in 0..split {
-                        p *= at(j);
-                    }
-                    *o = if split < fd { p * s } else { p };
-                }
+            let mut p = 1.0f64;
+            for &a in left {
+                p *= at(a);
             }
+            *out = if right.is_empty() { p } else { p * s };
         }
         z
     }
@@ -395,34 +497,6 @@ pub(crate) fn accumulate_dyn(
     true
 }
 
-/// Fill a row's `z`-cache (`len * rank` contiguous, one `z` per slot of
-/// the row) from its gathered `z` — what AMN's Newton iterations re-read
-/// all row. Rank-monomorphized like [`accumulate`].
-pub(crate) fn fill_zcache(zs: Gathered<'_>, len: usize, rank: usize, zcache: &mut Vec<f64>) {
-    zcache.clear();
-    zcache.reserve(len * rank);
-    match rank {
-        2 => fill_zcache_fixed::<2>(zs, len, zcache),
-        4 => fill_zcache_fixed::<4>(zs, len, zcache),
-        8 => fill_zcache_fixed::<8>(zs, len, zcache),
-        16 => fill_zcache_fixed::<16>(zs, len, zcache),
-        _ => {
-            for k in 0..len {
-                let start = zcache.len();
-                zcache.resize(start + rank, 0.0);
-                zs.dynamic(k, &mut zcache[start..]);
-            }
-        }
-    }
-}
-
-#[inline]
-fn fill_zcache_fixed<const R: usize>(zs: Gathered<'_>, len: usize, zcache: &mut Vec<f64>) {
-    for k in 0..len {
-        zcache.extend_from_slice(&zs.fixed::<R>(k));
-    }
-}
-
 /// Per-worker scratch of a least-squares row solve (ALS and Tucker-ALS):
 /// the row's normal equations, the Cholesky workspace and a rank-long
 /// `z`, allocated once per parallel block instead of once per row.
@@ -530,101 +604,107 @@ mod tests {
         }
     }
 
-    /// `accumulate` through its dispatch, checked against `accumulate_dyn`.
-    fn run_both(
-        zs: impl SlotZ + Copy,
-        n: usize,
-        coeffs: impl Fn(usize, &[f64]) -> Option<(f64, f64)> + Copy,
+    /// One row system, built into fresh buffers by `build(gram, rhs, z)`.
+    fn system(
         rank: usize,
-        what: &str,
+        build: impl FnOnce(&mut [f64], &mut [f64], &mut [f64]) -> bool,
     ) -> System {
-        let mut z = vec![0.0; rank];
-        let mut run = |dispatch: bool| {
-            let (mut gram, mut rhs) = (vec![0.0; rank * rank], vec![0.0; rank]);
-            let ok = if dispatch {
-                accumulate(zs, n, coeffs, &mut gram, &mut rhs, &mut z)
-            } else {
-                accumulate_dyn(zs, n, coeffs, &mut gram, &mut rhs, &mut z)
-            };
-            (ok, gram, rhs)
-        };
-        let fixed = run(true);
-        assert_systems_equal(&fixed, &run(false), what);
-        fixed
+        let (mut gram, mut rhs, mut z) = (vec![0.0; rank * rank], vec![0.0; rank], vec![0.0; rank]);
+        let ok = build(&mut gram, &mut rhs, &mut z);
+        (ok, gram, rhs)
     }
 
-    /// Every fixed kernel shape agrees bitwise with the dynamic-rank kernel
-    /// — they are the same operation sequence with different loop trip
-    /// counts — for both `z` sources (gathered through every `ZSource`:
-    /// the order-2 and order-3 gathers and the fold at orders 4, 6 and 9,
-    /// every free mode; and the materialized cache) and both coefficient
-    /// kinds (least squares `(t, 1.0)`, and AMN's Newton scalars, which
-    /// abort on rows whose model value leaves the positive domain). The
-    /// gathered and cached sources give the same systems, and the cache
-    /// fill gives the canonical per-entry `z`.
+    /// Every fixed kernel shape agrees bitwise with the dynamic one — they
+    /// are the same operation sequence with different loop trip counts.
+    /// Per row of every free mode, at every order 1–10 (every foreign count
+    /// the gather dispatches on, 0–8, and the run-time-order fold above)
+    /// and ranks 1, 2, 3, 4, 8 and 16, with both coefficient kinds (least
+    /// squares `(t, 1.0)`, and AMN's Newton scalars, which abort on rows
+    /// whose model value leaves the positive domain): the system built from
+    /// the gather through the order and rank dispatch, through the rank
+    /// dispatch alone, and from its filled `z`-cache equals the all-dynamic
+    /// one (run-time order, `accumulate_dyn`); and the cache fill, through
+    /// the order dispatch and at run-time order, gives the canonical `z`
+    /// per entry.
     #[test]
     fn monomorphized_kernels_bitwise_match_generic() {
-        let cases = [
-            vec![4usize, 3],
-            vec![5, 4, 3],
-            vec![3, 3, 2, 3],
-            vec![3, 2, 3, 2, 3, 2],
-            vec![2, 3, 2, 2, 3, 2, 2, 3, 2],
+        let cases: [&[usize]; 10] = [
+            &[5],
+            &[4, 3],
+            &[5, 4, 3],
+            &[3, 3, 2, 3],
+            &[3, 2, 3, 2, 3],
+            &[3, 2, 3, 2, 3, 2],
+            &[2, 3, 2, 2, 3, 2, 2],
+            &[2, 2, 3, 2, 2, 3, 2, 2],
+            &[2, 3, 2, 2, 3, 2, 2, 3, 2],
+            &[2, 2, 2, 3, 2, 2, 2, 2, 3, 2],
         ];
         let (mut built, mut aborted) = (0usize, 0usize);
-        for dims in &cases {
+        for dims in cases {
             for &rank in &[1usize, 2, 3, 4, 8, 16] {
                 let obs = random_obs(dims, 30, rank as u64);
                 let cp = CpDecomp::random(dims, rank, -1.0, 1.0, 7);
+                let streams = build_streams(&obs);
+                let layout = GatherLayout::new(&cp, &obs);
                 let mut rng = StdRng::seed_from_u64(rank as u64 + 11);
                 let u: Vec<f64> = (0..rank).map(|_| rng.gen_range(0.1..1.0)).collect();
-                for mode in 0..dims.len() {
-                    let stream = obs.mode_stream(mode);
-                    let factors = foreign_factors(&cp, mode);
-                    let src = z_source(&factors, mode);
+                for (mode, stream) in streams.iter().enumerate() {
                     for i in 0..stream.rows() {
                         let rng = stream.row_range(i);
                         if rng.is_empty() {
                             continue;
                         }
+                        let gather = layout.mode(stream).row(rng.clone());
                         let ids = &stream.entry_ids()[rng.clone()];
                         let vals = &stream.values()[rng];
                         let n = vals.len();
-                        let gathered = Gathered {
-                            src,
-                            foreign: stream.row_foreign(i),
-                        };
-                        let mut zc = Vec::new();
-                        fill_zcache(gathered, n, rank, &mut zc);
-                        let cached = Cached(&zc);
                         let what = format!("order {} mode {mode} rank {rank}", dims.len());
 
-                        let ls = |k: usize, _: &[f64]| Some((vals[k], 1.0));
-                        let from_gather = run_both(gathered, n, ls, rank, &what);
-                        assert!(from_gather.0, "least squares aborted {what}");
-                        let from_cache = run_both(cached, n, ls, rank, &what);
-                        assert_systems_equal(&from_gather, &from_cache, &format!("LS {what}"));
+                        // The cache fill agrees with the canonical z per entry.
+                        let mut zc = Vec::new();
+                        gather.fill_zcache(n, rank, &mut zc);
+                        let mut zc_any = Vec::new();
+                        gather.fill(n, rank, &mut zc_any);
+                        assert_bits(&zc, &zc_any, &format!("zcache order dispatch {what}"));
+                        let mut zref = vec![0.0; rank];
+                        for (k, &e) in ids.iter().enumerate() {
+                            cp.leave_one_out_canonical(obs.index(e as usize), mode, &mut zref);
+                            assert_bits(
+                                &zc[k * rank..(k + 1) * rank],
+                                &zref,
+                                &format!("zcache {what}"),
+                            );
+                        }
+                        let cached = Cached(&zc);
 
                         let inv = 1.0 / n as f64;
+                        let ls = |k: usize, _: &[f64]| Some((vals[k], 1.0));
                         let newton = |k: usize, z: &[f64]| {
                             let m: f64 = z.iter().zip(&u).map(|(a, b)| a * b).sum();
                             newton_coeffs(m, vals[k], inv)
                         };
-                        let from_gather = run_both(gathered, n, newton, rank, &what);
-                        let from_cache = run_both(cached, n, newton, rank, &what);
-                        assert_systems_equal(&from_gather, &from_cache, &format!("Newton {what}"));
-                        if from_gather.0 {
-                            built += 1;
-                        } else {
-                            aborted += 1;
-                        }
-
-                        // The cache fill agrees with the canonical z per entry.
-                        let mut zref = vec![0.0; rank];
-                        for (k, &e) in ids.iter().enumerate() {
-                            cp.leave_one_out_canonical(obs.index(e as usize), mode, &mut zref);
-                            for (a, b) in zc[k * rank..(k + 1) * rank].iter().zip(&zref) {
-                                assert_eq!(a.to_bits(), b.to_bits(), "zcache {what}");
+                        for (kind, coeffs) in [
+                            ("LS", &ls as &dyn Fn(usize, &[f64]) -> Option<(f64, f64)>),
+                            ("Newton", &newton),
+                        ] {
+                            let what = format!("{kind} {what}");
+                            let spec =
+                                system(rank, |g, r, z| accumulate_dyn(gather, n, coeffs, g, r, z));
+                            let shapes = [
+                                system(rank, |g, r, z| gather.accumulate(n, coeffs, g, r, z)),
+                                system(rank, |g, r, z| accumulate(gather, n, coeffs, g, r, z)),
+                                system(rank, |g, r, z| accumulate(cached, n, coeffs, g, r, z)),
+                                system(rank, |g, r, z| accumulate_dyn(cached, n, coeffs, g, r, z)),
+                            ];
+                            let names = ["order+rank", "rank", "cached", "cached dyn"];
+                            for (shape, sys) in names.iter().zip(&shapes) {
+                                assert_systems_equal(&spec, sys, &format!("{shape} {what}"));
+                            }
+                            match (kind, spec.0) {
+                                ("LS", ok) => assert!(ok, "least squares aborted {what}"),
+                                (_, true) => built += 1,
+                                (_, false) => aborted += 1,
                             }
                         }
                     }

@@ -174,24 +174,48 @@ const PIN_STOP: StopRule = StopRule {
 // as `exp2`), so a fit gives the same bits in the debug and release
 // profiles and the constants hold in both.
 
+/// Fold one seeded ALS fit per rank of `PIN_RANKS` on one problem.
+fn fold_als_fits(checksum: &mut u64, dims: &[usize], seed: u64) {
+    let obs = sampled_obs(dims, 2, 0.5, seed);
+    for rank in PIN_RANKS {
+        let mut cp = CpDecomp::random(dims, rank, 0.0, 1.0, seed + rank as u64);
+        let cfg = CompletionSpec {
+            lambda: 1e-6,
+            stop: PIN_STOP,
+            ..Default::default()
+        };
+        let trace = als(&mut cp, &obs, &cfg);
+        for m in 0..cp.order() {
+            fnv(checksum, cp.factor(m).as_slice());
+        }
+        fnv(checksum, &trace.objective);
+    }
+}
+
+/// Fold one seeded AMN fit per rank of `PIN_RANKS` on one problem.
+fn fold_amn_fits(checksum: &mut u64, dims: &[usize], seed: u64) {
+    let obs = sampled_obs(dims, 2, 0.5, seed);
+    let gm = (obs.values().iter().map(|v| v.ln()).sum::<f64>() / obs.nnz() as f64).exp();
+    for rank in PIN_RANKS {
+        let mut cp = init_positive(dims, rank, gm, seed + rank as u64);
+        let cfg = CompletionSpec {
+            lambda: 1e-6,
+            stop: PIN_STOP,
+            ..Default::default()
+        };
+        let trace = amn(&mut cp, &obs, &cfg);
+        for m in 0..cp.order() {
+            fnv(checksum, cp.factor(m).as_slice());
+        }
+        fnv(checksum, &trace.objective);
+    }
+}
+
 #[test]
 fn als_fit_bits_are_pinned() {
     let mut checksum = FNV_START;
     for (dims, seed) in PIN_PROBLEMS {
-        let obs = sampled_obs(dims, 2, 0.5, seed);
-        for rank in PIN_RANKS {
-            let mut cp = CpDecomp::random(dims, rank, 0.0, 1.0, seed + rank as u64);
-            let cfg = CompletionSpec {
-                lambda: 1e-6,
-                stop: PIN_STOP,
-                ..Default::default()
-            };
-            let trace = als(&mut cp, &obs, &cfg);
-            for m in 0..cp.order() {
-                fnv(&mut checksum, cp.factor(m).as_slice());
-            }
-            fnv(&mut checksum, &trace.objective);
-        }
+        fold_als_fits(&mut checksum, dims, seed);
     }
     assert_eq!(
         checksum, 0x2cb9_d461_292f_1663,
@@ -203,26 +227,66 @@ fn als_fit_bits_are_pinned() {
 fn amn_fit_bits_are_pinned() {
     let mut checksum = FNV_START;
     for (dims, seed) in PIN_PROBLEMS {
-        let obs = sampled_obs(dims, 2, 0.5, seed);
-        let gm = (obs.values().iter().map(|v| v.ln()).sum::<f64>() / obs.nnz() as f64).exp();
-        for rank in PIN_RANKS {
-            let mut cp = init_positive(dims, rank, gm, seed + rank as u64);
-            let cfg = CompletionSpec {
-                lambda: 1e-6,
-                stop: PIN_STOP,
-                ..Default::default()
-            };
-            let trace = amn(&mut cp, &obs, &cfg);
-            for m in 0..cp.order() {
-                fnv(&mut checksum, cp.factor(m).as_slice());
-            }
-            fnv(&mut checksum, &trace.objective);
-        }
+        fold_amn_fits(&mut checksum, dims, seed);
     }
     assert_eq!(
         checksum, 0xa953_6934_d349_79cb,
         "AMN fit bits moved: {checksum:#018x}"
     );
+}
+
+/// One problem per remaining order up to 10: orders 4–9 cover every fixed
+/// fold shape the sweep dispatches on the order (KRIPKE's order 9 is the
+/// paper's largest), order 10 the run-time-order fold.
+const FOLD_PROBLEMS: [(&[usize], u64); 6] = [
+    (&[4, 3, 4, 3], 44),
+    (&[3, 4, 3, 3, 2], 45),
+    (&[3, 2, 3, 2, 2, 3, 2], 47),
+    (&[2, 3, 2, 2, 3, 2, 2, 2], 48),
+    (&[2, 3, 2, 2, 3, 2, 2, 3, 2], 49),
+    (&[2, 2, 3, 2, 2, 2, 2, 3, 2, 2], 50),
+];
+
+/// Check one fold per problem of `FOLD_PROBLEMS` against its pin, naming
+/// every order that moved. The pins were recorded before the fold was
+/// specialized on the order, and are equal in both profiles.
+fn check_fold_pins(what: &str, fold: fn(&mut u64, &[usize], u64), pins: [u64; 6]) {
+    let moved: Vec<String> = FOLD_PROBLEMS
+        .iter()
+        .zip(pins)
+        .filter_map(|(&(dims, seed), pin)| {
+            let mut checksum = FNV_START;
+            fold(&mut checksum, dims, seed);
+            (checksum != pin).then(|| format!("order {}: {checksum:#018x}", dims.len()))
+        })
+        .collect();
+    assert!(moved.is_empty(), "{what} fit bits moved: {moved:?}");
+}
+
+#[test]
+fn als_fit_bits_are_pinned_at_orders_4_to_10() {
+    let pins = [
+        0xe453_06ac_ea10_abc1,
+        0x582a_bef3_29f7_9521,
+        0x11d8_1eda_88eb_cb37,
+        0xf26f_3fa5_43ed_0dc2,
+        0x3b8c_c535_4dc8_eda5,
+        0xbfc6_7e0e_6f4c_1dc9,
+    ];
+    check_fold_pins("ALS", fold_als_fits, pins);
+}
+
+#[test]
+fn amn_fit_bits_are_pinned_at_orders_4_to_10() {
+    let pins = [
+        0xa632_c891_f7ba_5d7b,
+        0xda1c_ee14_c9fd_7a78,
+        0xf30f_f11f_a0a9_2cf3,
+        0x3bc7_3120_b5d2_e865,
+        0xf5d8_1b61_cd5a_3d31,
+        0x5119_e819_b711_71b6,
+    ];
+    check_fold_pins("AMN", fold_amn_fits, pins);
 }
 
 #[test]

@@ -36,13 +36,19 @@ fn random_obs(dims: &[usize], frac: f64, seed: u64) -> SparseTensor {
     obs
 }
 
-/// Random small dims of random order 2..=9, up to the order-9 grids the
-/// apps fit. Above order 5 each mode spans 2..=3 cells, which keeps the
-/// cell count near the low orders'.
+/// Random small dims of random order 2..=10: up to the order-9 grids the
+/// apps fit, the largest order the sweep's fold is specialized on, and
+/// order 10 for its run-time-order fold. Above order 5 each mode spans
+/// 2..=3 cells, and above order 9 exactly 2, which keeps the cell count
+/// near the low orders'.
 fn random_dims(seed: u64) -> Vec<usize> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let order = rng.gen_range(2..=9usize);
-    let max = if order > 5 { 3 } else { 6 };
+    let order = rng.gen_range(2..=10usize);
+    let max = match order {
+        10.. => 2,
+        6.. => 3,
+        _ => 6,
+    };
     (0..order).map(|_| rng.gen_range(2..=max)).collect()
 }
 

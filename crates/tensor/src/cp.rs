@@ -348,7 +348,10 @@ impl CpDecomp {
 /// layer's proptests pin.
 ///
 /// A pack is a *bake*, not a view: it does not track later mutations of the
-/// source decomposition. Rebuild it whenever the factors change.
+/// source decomposition. Rebuild it whenever the factors change, or copy a
+/// changed mode back in with [`Self::refresh_mode`] (the CP sweeps gather
+/// every leave-one-out vector from a pack they refresh after each mode
+/// update).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedFactors {
     data: Vec<f64>,
@@ -411,6 +414,30 @@ impl PackedFactors {
         let s = self.strides[mode];
         let start = self.offsets[mode] + i * s;
         &self.data[start..start + s]
+    }
+
+    /// Element offset of row `i` of `mode` in [`Self::as_slice`].
+    #[inline(always)]
+    pub fn row_start(&self, mode: usize, i: usize) -> usize {
+        self.offsets[mode] + i * self.strides[mode]
+    }
+
+    /// Every mode's rows end to end, in mode order.
+    #[inline(always)]
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// Copy `factor` over `mode`'s rows in place; the shape must match the
+    /// baked one.
+    pub fn refresh_mode(&mut self, mode: usize, factor: &Matrix) {
+        assert_eq!(
+            factor.shape(),
+            (self.rows[mode], self.strides[mode]),
+            "refresh_mode: shape of mode {mode}"
+        );
+        let start = self.offsets[mode];
+        self.data[start..start + factor.as_slice().len()].copy_from_slice(factor.as_slice());
     }
 
     /// Evaluate a CP model at a multi-index through the pack. Requires a
@@ -637,6 +664,29 @@ mod tests {
         cp.factor_mut(0).row_mut(1)[0] += 100.0;
         assert_eq!(p.row(0, 1), &before[..], "pack must not track mutation");
         assert_ne!(cp.packed().row(0, 1), &before[..]);
+    }
+
+    #[test]
+    fn refresh_mode_matches_a_fresh_bake() {
+        let mut cp = rank2_3mode();
+        let mut p = cp.packed();
+        cp.factor_mut(1).row_mut(2)[1] = 7.5;
+        assert_ne!(p, cp.packed());
+        p.refresh_mode(1, cp.factor(1));
+        assert_eq!(p, cp.packed());
+        for mode in 0..3 {
+            for i in 0..p.rows(mode) {
+                let start = p.row_start(mode, i);
+                assert_eq!(&p.as_slice()[start..start + 2], cp.factor(mode).row(i));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shape of mode 0")]
+    fn refresh_mode_rejects_another_shape() {
+        let mut p = rank2_3mode().packed();
+        p.refresh_mode(0, &Matrix::zeros(3, 2));
     }
 
     #[test]

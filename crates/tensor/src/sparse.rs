@@ -139,13 +139,6 @@ impl ModeStream {
         &self.foreign[slot * self.fdim..(slot + 1) * self.fdim]
     }
 
-    /// Flat foreign storage for row `i` (`row_len * fdim` coordinates).
-    #[inline]
-    pub fn row_foreign(&self, i: usize) -> &[u32] {
-        let r = self.row_range(i);
-        &self.foreign[r.start * self.fdim..r.end * self.fdim]
-    }
-
     /// Fold the observations `first_new..obs.nnz()` of `obs` into the
     /// stream. The merged stream is **identical** to rebuilding from
     /// scratch with [`SparseTensor::mode_stream`]: new entry ids exceed
