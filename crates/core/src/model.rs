@@ -465,8 +465,10 @@ const _: () = {
 /// of it once:
 ///
 /// * per-axis [`AxisTable`]s — h-transformed midpoints and bracket widths
-///   precomputed, direct index lookup on linear/log axes (binary search
-///   only on nudged integer axes);
+///   precomputed, direct index lookup on linear/log axes, binary search
+///   on nudged integer axes, and on integer axes of at most 256 values a
+///   memo of every integer's stencil, so an integral query (the paper
+///   rounds integer parameters) quantizes there with one load;
 /// * a [`PackedFactors`] copy of the factors — every per-mode read is a
 ///   contiguous rank-length row from one allocation;
 /// * the observed-row masks, so Eq. 5 stencil masking needs no grid access;
@@ -659,8 +661,9 @@ impl PredictPlan {
         }
     }
 
-    /// Baked size in bytes (tables + packed factors + the Tucker core when
-    /// present + masks + the dense corner-value table when present).
+    /// Baked size in bytes (axis tables with their integer memos + packed
+    /// factors + the Tucker core when present + masks + the dense
+    /// corner-value table when present).
     pub fn size_bytes(&self) -> usize {
         let tables: usize = self.tables.iter().map(AxisTable::size_bytes).sum();
         let masks: usize = self.row_observed.iter().map(Vec::len).sum();
@@ -813,11 +816,12 @@ impl PredictPlan {
     /// over the crate thread pool; within a chunk, separable plans (CP,
     /// log-least-squares) quantize **axis-major** through
     /// [`AxisTable::stencils_for_each`] (one axis's table stays
-    /// register/L1-resident across the whole chunk, and the per-query `ln`
-    /// chains overlap) and fold each stencil's blended factor row straight
-    /// into a chunk-wide `m × R` accumulator, mode by mode, then finish
-    /// each query's rank sum — no per-query corner loop. The other plans
-    /// run the single-query corner sum per query.
+    /// register/L1-resident across the whole chunk, memo loads and the
+    /// per-query `ln` chains of searched axes overlap) and fold each
+    /// stencil's blended factor row straight into a chunk-wide `m × R`
+    /// accumulator, mode by mode, then finish each query's rank sum — no
+    /// per-query corner loop. The other plans run the single-query corner
+    /// sum per query.
     ///
     /// Scratch is per chunk. Outputs land at the input index, so results
     /// are independent of the worker count.

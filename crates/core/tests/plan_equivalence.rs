@@ -2,7 +2,8 @@
 //! be **bitwise identical** to the reference path `CprModel::predict_naive`
 //! — across random CP models of orders 1–9, every axis kind (linear/log,
 //! float/integer, categorical), both losses, random observed-row masks,
-//! in-domain and out-of-domain probes — through `predict`, `predict_into`
+//! in-domain and out-of-domain probes, and integral probes that reach the
+//! integer axes' stencil memo — through `predict`, `predict_into`
 //! and `predict_batch`, at 1, 2 and 4 threads; and for order-17 MLogQ² CP
 //! and Tucker models, whose corner scratch leaves the stack.
 //!
@@ -133,10 +134,46 @@ fn probe_for(spec: &ParamSpec, rng: &mut StdRng) -> f64 {
 }
 
 fn probes(specs: &[ParamSpec], n: usize, seed: u64) -> Vec<Vec<f64>> {
+    draw(specs, n, seed, probe_for)
+}
+
+/// `n` configurations of `probe` draws from one seeded stream.
+fn draw(
+    specs: &[ParamSpec],
+    n: usize,
+    seed: u64,
+    probe: fn(&ParamSpec, &mut StdRng) -> f64,
+) -> Vec<Vec<f64>> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
-        .map(|_| specs.iter().map(|s| probe_for(s, &mut rng)).collect())
+        .map(|_| specs.iter().map(|s| probe(s, &mut rng)).collect())
         .collect()
+}
+
+/// Integral probe for one axis, the traffic of rounded configurations
+/// (paper §6.0.3) that an integer axis's stencil memo serves: mostly an
+/// integer of `⌈lo⌉..=⌊hi⌋`, sometimes the integer just below or above
+/// that domain, sometimes `-0.0`, which must miss the memo. Categorical
+/// axes draw as in [`probe_for`].
+fn integral_probe_for(spec: &ParamSpec, rng: &mut StdRng) -> f64 {
+    match spec {
+        ParamSpec::Numerical { lo, hi, .. } => {
+            let (int_lo, int_hi) = (lo.ceil() as i64, hi.floor() as i64);
+            match rng.gen_range(0..10) {
+                0 => (int_lo - 1) as f64,
+                1 => (int_hi + 1) as f64,
+                2 => -0.0,
+                _ => rng.gen_range(int_lo..=int_hi) as f64,
+            }
+        }
+        ParamSpec::Categorical { .. } => probe_for(spec, rng),
+    }
+}
+
+/// `n` integral probes, from an RNG stream of their own so that the
+/// [`probes`] drawn next to them stay as they were.
+fn integral_probes(specs: &[ParamSpec], n: usize, seed: u64) -> Vec<Vec<f64>> {
+    draw(specs, n, seed ^ 0x1e67_a1f0, integral_probe_for)
 }
 
 /// The corner-sum form of Eq. 5 for a log-least-squares CP model: the raw
@@ -236,7 +273,8 @@ proptest! {
         let loss = loss_of(log_loss);
         let specs = params.clone();
         let f = random_model(params, cells, rank, loss, seed);
-        let xs = probes(&specs, 32, seed.wrapping_mul(0x9e37_79b9));
+        let mut xs = probes(&specs, 32, seed.wrapping_mul(0x9e37_79b9));
+        xs.extend(integral_probes(&specs, 32, seed));
         let batched = f.model.predict_batch(&xs);
         for (x, via_batch) in xs.iter().zip(&batched) {
             let fast = f.model.predict(x);
@@ -267,7 +305,8 @@ proptest! {
         let specs = params.clone();
         let f = random_model(params, cells, rank, loss_of(log_loss), seed);
         let model = &f.model;
-        let batch = probes(&specs, 300, seed ^ 0x5555);
+        let mut batch = probes(&specs, 300, seed ^ 0x5555);
+        batch.extend(integral_probes(&specs, 300, seed));
         let naive: Vec<u64> = batch.iter().map(|x| model.predict_naive(x).to_bits()).collect();
         for threads in [1, 2, 4] {
             let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();

@@ -193,9 +193,23 @@ enum TableKind {
     /// Flat binary search over the sorted midpoints — the fallback for
     /// integer axes, whose ceil-and-nudge midpoints are not uniformly
     /// spaced (and may even repeat, where only the exact `binary_search_by`
-    /// tie behaviour reproduces [`Axis::stencil`] bit-for-bit).
+    /// tie behaviour reproduces [`Axis::stencil`] bit-for-bit). Integer
+    /// axes whose domain exceeds [`INT_MEMO_MAX`] values (MM's and QR's)
+    /// stay here.
     Search,
+    /// Search, with the stencil of every integer `int_lo + k` of the
+    /// axis's domain memoized in [`AxisTable::memo`]: a value whose bits
+    /// equal such an integer is one load, every other value takes the
+    /// search. Integer axes of at most [`INT_MEMO_MAX`] values.
+    Memo { int_lo: f64 },
 }
+
+/// Largest integer domain `⌈lo⌉..=⌊hi⌋` whose stencils an integer axis's
+/// table memoizes (16 bytes an entry, so at most 4 KiB an axis). It covers
+/// every integer axis of AMG and KRIPKE, FMM's but `n` (61,441 values) and
+/// BC's `nodes` and `ppn`; MM's axes (4,065 values each) and QR's stay on
+/// the search rather than bake thousands of stencils per plan.
+const INT_MEMO_MAX: usize = 256;
 
 /// Precomputed quantization table for one axis — the grid half of the
 /// compiled query path.
@@ -205,7 +219,11 @@ enum TableKind {
 /// log axes): `h(x)`, `h(M_i)`, `h(M_{i+1})`. The table bakes the
 /// h-transformed midpoints and bracket widths once, and replaces the search
 /// with a direct index computation wherever the spacing allows, leaving one
-/// `ln` per query as the only transcendental.
+/// `ln` per query on float log axes. An integer axis of at most 256 values
+/// also bakes the stencil of every integer of its domain, so an integral
+/// query (the paper rounds every integer parameter, §6.0.3) costs one load
+/// there: no `ln`, search or division. Other values on such an axis take
+/// the search.
 ///
 /// Contract: `table.stencil(x)` returns bitwise-identical `(i0, i1, w1)` to
 /// `axis.stencil(x)` for every non-NaN `x`; numerical-axis tables panic on
@@ -222,6 +240,10 @@ pub struct AxisTable {
     denom: Vec<f64>,
     /// Natural-log `h`-transform (log-spaced axes)?
     log_h: bool,
+    /// [`TableKind::Memo`] axes only: entry `k` is the `(bracket index,
+    /// w1)` that [`Self::stencil_search`] returns for `int_lo + k`, ties on
+    /// repeated midpoints included. Empty on every other axis.
+    memo: Vec<(u32, f64)>,
 }
 
 impl AxisTable {
@@ -240,9 +262,12 @@ impl AxisTable {
     }
 
     /// Baked size in bytes: the actual midpoint/h-midpoint/width vectors
-    /// (empty for categorical and point axes) plus a small header.
+    /// (empty for categorical and point axes) and the integer memo (empty
+    /// unless memoized), plus a small header.
     pub fn size_bytes(&self) -> usize {
-        (self.mid.len() + self.h_mid.len() + self.denom.len()) * 8 + 16
+        (self.mid.len() + self.h_mid.len() + self.denom.len()) * 8
+            + std::mem::size_of_val(&self.memo[..])
+            + 16
     }
 
     /// The `h`-transform of the source axis.
@@ -313,11 +338,33 @@ impl AxisTable {
         self.weighted(hx, i)
     }
 
+    /// Memoized lookup: one load when `x` is bitwise an integer
+    /// `int_lo + k` of the domain, the search otherwise (fractional and
+    /// out-of-domain values, `-0.0`, NaN). Entry `k` was baked from
+    /// `stencil_search(int_lo + k)`, the very value the hit test compares
+    /// `x` against, so a hit is the search's answer bit for bit.
+    #[inline(always)]
+    fn stencil_memo(&self, int_lo: f64, x: f64) -> (usize, usize, f64) {
+        let k = x - int_lo;
+        if k >= 0.0 {
+            // Saturating cast: infinities and huge values miss `get`.
+            let k = k as usize;
+            if let Some(&(i, w1)) = self.memo.get(k) {
+                if (int_lo + k as f64).to_bits() == x.to_bits() {
+                    let i = i as usize;
+                    return (i, i + 1, w1);
+                }
+            }
+        }
+        self.stencil_search(x)
+    }
+
     /// Interpolation stencil for value `x`; bitwise-identical to
-    /// [`Axis::stencil`] on the source axis. One `h`-transform per call —
-    /// the single remaining transcendental on log axes. `inline(always)`:
-    /// this is the leaf of the compiled query kernel one crate up, and the
-    /// cross-crate call boundary otherwise survives thin LTO.
+    /// [`Axis::stencil`] on the source axis. At most one `h`-transform per
+    /// call (none on a memo hit) — the single remaining transcendental on
+    /// log axes. `inline(always)`: this is the leaf of the compiled query
+    /// kernel one crate up, and the cross-crate call boundary otherwise
+    /// survives thin LTO.
     #[inline(always)]
     pub fn stencil(&self, x: f64) -> (usize, usize, f64) {
         match self.kind {
@@ -328,6 +375,7 @@ impl AxisTable {
             }
             TableKind::Direct { inv_step } => self.stencil_direct(inv_step, x),
             TableKind::Search => self.stencil_search(x),
+            TableKind::Memo { int_lo } => self.stencil_memo(int_lo, x),
         }
     }
 
@@ -364,6 +412,11 @@ impl AxisTable {
                     sink(k, self.stencil_search(x));
                 }
             }
+            TableKind::Memo { int_lo } => {
+                for (k, x) in xs.enumerate() {
+                    sink(k, self.stencil_memo(int_lo, x));
+                }
+            }
         }
     }
 }
@@ -380,6 +433,7 @@ impl Axis {
                 h_mid: Vec::new(),
                 denom: Vec::new(),
                 log_h: false,
+                memo: Vec::new(),
             };
         }
         let log_h = matches!(
@@ -398,7 +452,8 @@ impl Axis {
         } else {
             // Direct indexing needs strictly increasing midpoints (so the
             // fix-up predicate is unambiguous) and a usable uniform step in
-            // h-space. Integer axes use nudged midpoints — always Search.
+            // h-space. Integer axes use nudged midpoints — always Search
+            // (memoized below when their domain is small).
             let strictly_increasing = self.midpoints.windows(2).all(|w| w[0] < w[1]);
             let step = (h_mid[n - 1] - h_mid[0]) / (n - 1) as f64;
             let inv_step = 1.0 / step;
@@ -408,13 +463,39 @@ impl Axis {
                 TableKind::Search
             }
         };
-        AxisTable {
+        let mut table = AxisTable {
             kind,
             mid: self.midpoints.clone(),
             h_mid,
             denom,
             log_h,
+            memo: Vec::new(),
+        };
+        // A small integer domain memoizes the stencil of each of its
+        // integers, as the search itself computes it.
+        if let (
+            TableKind::Search,
+            ParamSpec::Numerical {
+                lo,
+                hi,
+                integer: true,
+                ..
+            },
+        ) = (kind, &self.spec)
+        {
+            let int_lo = lo.ceil();
+            let span = hi.floor() - int_lo;
+            if span < INT_MEMO_MAX as f64 {
+                table.memo = (0..=span as usize)
+                    .map(|k| {
+                        let (i, _, w1) = table.stencil_search(int_lo + k as f64);
+                        (i as u32, w1)
+                    })
+                    .collect();
+                table.kind = TableKind::Memo { int_lo };
+            }
         }
+        table
     }
 }
 
@@ -583,6 +664,114 @@ mod tests {
             1.0,
             9.0,
         );
+    }
+
+    /// Memo probes: every integer of the domain, the integers just
+    /// outside it, both zeros, `lo ± 0.5`, `hi ± 0.5` and `2^53 + 2`.
+    fn memo_probes(lo: f64, hi: f64) -> Vec<f64> {
+        let mut xs: Vec<f64> = (lo.ceil() as i64 - 1..=hi.floor() as i64 + 1)
+            .map(|v| v as f64)
+            .collect();
+        xs.extend([-0.0, 0.0, lo - 0.5, lo + 0.5, hi - 0.5, hi + 0.5]);
+        xs.push(2f64.powi(53) + 2.0);
+        xs
+    }
+
+    /// A memoized table gives `Axis::stencil`'s bits on every memo probe,
+    /// through `stencil` and through `stencils_for_each`.
+    fn assert_memo_matches(spec: ParamSpec, cells: usize) {
+        let a = Axis::new(&spec, cells);
+        let t = a.table();
+        let (lo, hi) = spec.range().unwrap();
+        assert_eq!(
+            t.memo.len(),
+            (hi.floor() - lo.ceil()) as usize + 1,
+            "{spec:?}"
+        );
+        let xs = memo_probes(lo, hi);
+        for &x in &xs {
+            let (i0, i1, w1) = a.stencil(x);
+            let (j0, j1, v1) = t.stencil(x);
+            assert_eq!((i0, i1, w1.to_bits()), (j0, j1, v1.to_bits()), "x={x}");
+        }
+        let mut seen = 0usize;
+        t.stencils_for_each(xs.iter().copied(), |k, (j0, j1, v1)| {
+            assert_eq!(k, seen);
+            seen += 1;
+            let (i0, i1, w1) = a.stencil(xs[k]);
+            assert_eq!(
+                (i0, i1, w1.to_bits()),
+                (j0, j1, v1.to_bits()),
+                "x={}",
+                xs[k]
+            );
+        });
+        assert_eq!(seen, xs.len());
+    }
+
+    #[test]
+    fn memoized_tables_match_axis_bitwise() {
+        assert_memo_matches(ParamSpec::linear_int("p", 1.0, 9.0), 20);
+        assert_memo_matches(ParamSpec::log_int("n", 8.0, 128.0), 16);
+        // Many cells on a short log range repeat nudged midpoints, where
+        // only the search's tie behaviour gives the naive bracket.
+        let repeats = Axis::new(&ParamSpec::log_int("g", 1.0, 32.0), 32);
+        assert!(repeats.midpoints().windows(2).any(|w| w[0] == w[1]));
+        assert_memo_matches(ParamSpec::log_int("g", 1.0, 32.0), 32);
+        // A domain starting at 0 (midpoint 0, so `-0.0` weighs `-0.0`) and
+        // one straddling it: `-0.0` must miss the memo.
+        let zero = Axis::new(&ParamSpec::linear_int("l", 0.0, 5.0), 6);
+        assert_eq!(zero.stencil(-0.0).2.to_bits(), (-0.0f64).to_bits());
+        assert_memo_matches(ParamSpec::linear_int("l", 0.0, 5.0), 6);
+        assert_memo_matches(ParamSpec::linear_int("s", -7.5, 7.5), 5);
+        // The largest memoized domain: 1..=256.
+        assert_memo_matches(ParamSpec::linear_int("b", 0.5, 256.5), 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in axis table")]
+    fn memoized_stencil_panics_on_nan() {
+        let t = Axis::new(&ParamSpec::linear_int("p", 1.0, 9.0), 20).table();
+        t.stencil(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in axis table")]
+    fn memoized_batch_panics_on_nan() {
+        let t = Axis::new(&ParamSpec::log_int("g", 1.0, 32.0), 32).table();
+        t.stencils_for_each([3.0, f64::NAN].into_iter(), |_, _| {});
+    }
+
+    #[test]
+    fn memo_exists_exactly_on_small_integer_axes() {
+        let memo_len = |spec: ParamSpec, cells: usize| {
+            let t = Axis::new(&spec, cells).table();
+            assert_eq!(
+                matches!(t.kind, TableKind::Memo { .. }),
+                !t.memo.is_empty(),
+                "{spec:?}"
+            );
+            t.memo.len()
+        };
+        assert_eq!(memo_len(ParamSpec::linear_int("p", 1.0, 9.0), 20), 9);
+        assert_eq!(memo_len(ParamSpec::log_int("g", 1.0, 32.0), 32), 32);
+        assert_eq!(memo_len(ParamSpec::linear_int("b", 0.5, 256.5), 12), 256);
+        assert_eq!(memo_len(ParamSpec::linear_int("b", 1.0, 257.0), 12), 0);
+        assert_eq!(memo_len(ParamSpec::log_int("m", 32.0, 4096.0), 7), 0);
+        assert_eq!(memo_len(ParamSpec::linear_int("p", 1.0, 9.0), 1), 0);
+        assert_eq!(memo_len(ParamSpec::log("x", 1.0, 16.0), 4), 0);
+        assert_eq!(memo_len(ParamSpec::linear("x", 0.0, 10.0), 5), 0);
+        assert_eq!(memo_len(ParamSpec::categorical("c", 3), 3), 0);
+    }
+
+    #[test]
+    fn size_bytes_counts_the_memo() {
+        let a = Axis::new(&ParamSpec::log_int("g", 1.0, 32.0), 32);
+        let n = a.len();
+        // Midpoints, h-midpoints, widths; 32 memo entries of 16 bytes.
+        assert_eq!(a.table().size_bytes(), (3 * n - 1) * 8 + 32 * 16 + 16);
+        let m = Axis::new(&ParamSpec::log_int("m", 32.0, 4096.0), 7);
+        assert_eq!(m.table().size_bytes(), (3 * 7 - 1) * 8 + 16);
     }
 
     #[test]

@@ -90,7 +90,7 @@ impl CpDecomp {
     /// remaining (frozen) factors are read through `&self`, with no
     /// model-sized clone. Pair with [`Self::set_factor`]; until then the
     /// model must only be queried through paths that skip `mode` (e.g.
-    /// [`Self::leave_one_out_row`] with `skip == mode`).
+    /// [`Self::leave_one_out_canonical`] at that `mode`).
     pub fn take_factor(&mut self, mode: usize) -> Matrix {
         std::mem::replace(&mut self.factors[mode], Matrix::zeros(0, 0))
     }
@@ -161,39 +161,6 @@ impl CpDecomp {
         } else {
             let mut acc = vec![0.0; self.rank];
             self.eval_with(&mut acc, idx.iter().map(|&i| i as usize))
-        }
-    }
-
-    /// Hadamard product of the rows of all factors except `skip` at the
-    /// given multi-index, written into `out` (length = rank).
-    ///
-    /// This is the vector `z` of the row-wise ALS/AMN subproblems — the
-    /// single hottest kernel of a sweep. The first two participating factor
-    /// rows are combined in one fused pass (the dominant case: an order-3
-    /// model needs exactly that and nothing more), remaining modes multiply
-    /// in; all bitwise identical to the naive ones-vector accumulation.
-    #[inline]
-    pub fn leave_one_out_row(&self, idx: &[u32], skip: usize, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), self.rank);
-        let mut others = (0..idx.len()).filter(|&j| j != skip);
-        match (others.next(), others.next()) {
-            (Some(j0), None) => {
-                out.copy_from_slice(self.factors[j0].row(idx[j0] as usize));
-            }
-            (Some(j0), Some(j1)) => {
-                let r0 = self.factors[j0].row(idx[j0] as usize);
-                let r1 = self.factors[j1].row(idx[j1] as usize);
-                for ((o, &a), &b) in out.iter_mut().zip(r0).zip(r1) {
-                    *o = a * b;
-                }
-                for j in others {
-                    let row = self.factors[j].row(idx[j] as usize);
-                    for (o, &u) in out.iter_mut().zip(row) {
-                        *o *= u;
-                    }
-                }
-            }
-            (None, _) => out.fill(1.0), // order-1 model: empty product
         }
     }
 
@@ -279,11 +246,12 @@ impl CpDecomp {
     ///   S = U_{m+1} ⊙ (U_{m+2} ⊙ (… ⊙ (U_{d−1} ⊙ 1)))  (right fold)
     /// ```
     ///
-    /// For orders ≤ 3 every mode's `z` is bitwise identical to the
-    /// historical left-fold [`Self::leave_one_out_row`] (at most two
-    /// participating factors, where association doesn't matter); at higher
-    /// orders only the association differs. This naive recomputation is the
-    /// reference the streamed sweep kernels are pinned against.
+    /// For orders ≤ 3 every mode's `z` is bitwise identical to the plain
+    /// left fold of the other modes' rows, ascending, into a ones vector
+    /// (at most two participating factors, where association doesn't
+    /// matter); at higher orders only the association differs. This naive
+    /// recomputation is the reference the streamed sweep kernels are pinned
+    /// against.
     pub fn leave_one_out_canonical(&self, idx: &[u32], mode: usize, out: &mut [f64]) {
         debug_assert_eq!(out.len(), self.rank);
         // Stack suffix accumulator for every paper-scale rank (this sits on
@@ -530,11 +498,24 @@ mod tests {
         assert_eq!(cp.size_bytes(), cp.param_count() * 8);
     }
 
+    /// The plain left fold over the modes other than `skip`, ascending,
+    /// from a ones vector: the association `leave_one_out_canonical`
+    /// matches bitwise up to order 3.
+    fn left_fold_leave_one_out(cp: &CpDecomp, idx: &[u32], skip: usize) -> Vec<f64> {
+        let mut out = vec![1.0; cp.rank()];
+        for (j, &i) in idx.iter().enumerate().filter(|&(j, _)| j != skip) {
+            for (o, &u) in out.iter_mut().zip(cp.factor(j).row(i as usize)) {
+                *o *= u;
+            }
+        }
+        out
+    }
+
     #[test]
     fn leave_one_out_row_is_hadamard() {
         let cp = rank2_3mode();
         let mut z = vec![0.0; 2];
-        cp.leave_one_out_row(&[1, 2, 0], 0, &mut z);
+        cp.leave_one_out_canonical(&[1, 2, 0], 0, &mut z);
         // modes 1,2 rows: v[2]=[3,0], w[0]=[1,2] -> z = [3*1, 0*2] = [3, 0]
         assert_eq!(z, vec![3.0, 0.0]);
         // eval = dot(z, u_row)
@@ -599,7 +580,7 @@ mod tests {
         assert_eq!(cp.factor(1).shape(), (0, 0));
         // Leave-one-out paths that skip the taken mode still work.
         let mut z = vec![0.0; 2];
-        cp.leave_one_out_row(&[1, 2, 0], 1, &mut z);
+        cp.leave_one_out_canonical(&[1, 2, 0], 1, &mut z);
         assert!(z.iter().all(|v| v.is_finite()));
         cp.set_factor(1, f);
         assert_eq!(cp.to_dense(), before);
@@ -693,13 +674,12 @@ mod tests {
     fn canonical_leave_one_out_matches_legacy_at_order_three() {
         // Orders <= 3: at most two participating factors per z, so the
         // canonical P ⊙ S association coincides bitwise with the legacy
-        // left fold.
+        // left fold (`left_fold_leave_one_out`).
         let cp = CpDecomp::random(&[4, 5, 3], 6, -1.0, 1.0, 3);
-        let mut a = vec![0.0; 6];
         let mut b = vec![0.0; 6];
         for idx in [[0u32, 0, 0], [3, 4, 2], [1, 2, 1]] {
             for mode in 0..3 {
-                cp.leave_one_out_row(&idx, mode, &mut a);
+                let a = left_fold_leave_one_out(&cp, &idx, mode);
                 cp.leave_one_out_canonical(&idx, mode, &mut b);
                 for (x, y) in a.iter().zip(&b) {
                     assert_eq!(x.to_bits(), y.to_bits(), "idx {idx:?} mode {mode}");
@@ -711,11 +691,10 @@ mod tests {
     #[test]
     fn canonical_leave_one_out_is_close_at_order_four() {
         let cp = CpDecomp::random(&[3, 3, 3, 3], 4, 0.2, 1.3, 8);
-        let mut a = vec![0.0; 4];
         let mut b = vec![0.0; 4];
         let idx = [2u32, 1, 0, 2];
         for mode in 0..4 {
-            cp.leave_one_out_row(&idx, mode, &mut a);
+            let a = left_fold_leave_one_out(&cp, &idx, mode);
             cp.leave_one_out_canonical(&idx, mode, &mut b);
             for (x, y) in a.iter().zip(&b) {
                 assert!((x - y).abs() < 1e-14, "mode {mode}: {x} vs {y}");
