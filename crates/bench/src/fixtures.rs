@@ -230,6 +230,95 @@ mod tests {
         assert_eq!(checksum, 0x8c22_f401_5e6d_d34c);
     }
 
+    /// A CP log-least-squares model over `space` (8 cells a mode) from
+    /// seeded random factors, with random observed-row masks: each mode
+    /// keeps a random non-empty subset of its rows, installed through an
+    /// observation tensor whose entry `t` takes the `t`-th observed row of
+    /// every mode (cycling).
+    fn masked_app_model(space: ParamSpace, rank: usize, seed: u64) -> CprModel {
+        let cells = vec![8; space.dim()];
+        let dims = space.grid_with_cells(&cells).dims();
+        let cp = CpDecomp::random(&dims, rank, -1.0, 1.0, seed);
+        let mut model =
+            CprModel::from_parts(space, &cells, cp, Loss::LogLeastSquares, 0.37).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let rows: Vec<Vec<usize>> = dims
+            .iter()
+            .map(|&n| {
+                let mut keep: Vec<usize> = (0..n).filter(|_| rng.gen::<f64>() < 0.7).collect();
+                if keep.is_empty() {
+                    keep.push(rng.gen_range(0..n));
+                }
+                keep
+            })
+            .collect();
+        let mut obs = cpr_tensor::SparseTensor::new(&dims);
+        for t in 0..rows.iter().map(Vec::len).max().unwrap() {
+            let idx: Vec<usize> = rows.iter().map(|r| r[t % r.len()]).collect();
+            obs.push(&idx, 1.0);
+        }
+        model.set_row_observed_from(&obs);
+        model
+    }
+
+    /// An integral configuration of `space`, the rounded traffic of the
+    /// paper's test sets (§6.0.3): mostly an integer of each numerical
+    /// axis's domain, one draw in ten the integer just below or above it,
+    /// and any in-range choice of a categorical axis. Every draw is an
+    /// integer range or a comparison, so debug and release builds draw the
+    /// same configurations.
+    fn integral_config(space: &ParamSpace, rng: &mut StdRng) -> Vec<f64> {
+        space
+            .params()
+            .iter()
+            .map(|spec| match *spec {
+                ParamSpec::Numerical { lo, hi, .. } => {
+                    let (lo, hi) = (lo.ceil() as i64, hi.floor() as i64);
+                    match rng.gen_range(0..20) {
+                        0 => (lo - 1) as f64,
+                        1 => (hi + 1) as f64,
+                        _ => rng.gen_range(lo..=hi) as f64,
+                    }
+                }
+                ParamSpec::Categorical { cardinality, .. } => rng.gen_range(0..cardinality) as f64,
+            })
+            .collect()
+    }
+
+    /// The bits served over the six paper apps' parameter spaces, where
+    /// integral queries reach the integer axes' stencil memo: CP
+    /// log-least-squares models from seeded parts at ranks 4 and 8 with
+    /// random masks, 600 integral configurations each through `predict`
+    /// and through `predict_into` (two full chunks and a partial one),
+    /// folded FNV-1a-style. The constant was recorded before the separable
+    /// fold took baked memo rows and rank-monomorphized kernels, and holds
+    /// in the debug and release profiles.
+    #[test]
+    fn app_space_prediction_bits_are_pinned() {
+        let mut checksum = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |v: f64| {
+            checksum = (checksum ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+        };
+        for (a, app) in cpr_apps::all_benchmarks().iter().enumerate() {
+            let space = app.space();
+            for rank in [4, 8] {
+                let seed = 100 * a as u64 + rank as u64;
+                let model = masked_app_model(space.clone(), rank, seed);
+                let mut rng = StdRng::seed_from_u64(seed ^ 0xc0f1);
+                let xs: Vec<Vec<f64>> = (0..600)
+                    .map(|_| integral_config(&space, &mut rng))
+                    .collect();
+                let mut batch = vec![0.0; xs.len()];
+                model.plan().predict_into(&xs, &mut batch);
+                for (x, &b) in xs.iter().zip(&batch) {
+                    fold(model.predict(x));
+                    fold(b);
+                }
+            }
+        }
+        assert_eq!(checksum, 0x80e4_f70e_0018_66f7);
+    }
+
     #[test]
     fn queries_land_in_bounds() {
         let qs = fleet_queries(7, 500, 9);

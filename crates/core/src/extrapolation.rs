@@ -174,9 +174,10 @@ impl CprExtrapolator {
     }
 
     /// Predict the execution time of a configuration, extrapolating along
-    /// any numerical parameter outside its modeled range. In-domain
-    /// configurations fall through to the standard Eq. 5 path — served by
-    /// the base model's compiled [`crate::PredictPlan`]. Otherwise the
+    /// any numerical parameter outside its modeled range. A configuration
+    /// with no extrapolated mode out of its domain goes straight to the
+    /// standard Eq. 5 path — served by the base model's compiled
+    /// [`crate::PredictPlan`] — before any other work. Otherwise the
     /// corner sum is [`interpolate_corners`] over the raw grid stencils,
     /// with each extrapolated mode entering as a point stencil whose one
     /// corner multiplies in the virtual spline row; factor rows come from
@@ -188,6 +189,14 @@ impl CprExtrapolator {
             grid.order(),
             "predict: configuration order mismatch"
         );
+        let out_of_domain = x
+            .iter()
+            .zip(&self.modes)
+            .enumerate()
+            .any(|(j, (&xj, mode))| mode.is_some() && !grid.axis(j).spec().in_domain(xj));
+        if !out_of_domain {
+            return self.model.predict(x);
+        }
         // In-domain numerical and all categorical modes keep their Eq. 5
         // stencils (out-of-domain categorical values clamp); out-of-domain
         // numerical modes are replaced by the virtual spline row and, per
@@ -206,9 +215,6 @@ impl CprExtrapolator {
                     stencils.push(axis.stencil(xj));
                 }
             }
-        }
-        if virtual_rows.iter().all(Option::is_none) {
-            return self.model.predict(x);
         }
         let plan = self.model.plan();
         let mut acc = vec![0.0; plan.rank()];
@@ -351,16 +357,34 @@ mod tests {
         );
     }
 
+    /// A configuration with no extrapolated mode out of its domain is the
+    /// base model's prediction, bit for bit: integral and fractional
+    /// values, both ends of each range, and a categorical value outside
+    /// its choices (categorical modes clamp, never extrapolate).
     #[test]
     fn in_domain_falls_through_to_base_model() {
-        let (space, train) = power_law_data(2048.0, 1000, 3);
-        let ex = CprExtrapolatorBuilder::new(space)
-            .cells_per_dim(6)
-            .rank(2)
-            .fit(&train)
-            .unwrap();
-        let probe = vec![300.0, 300.0];
-        assert_eq!(ex.predict(&probe), ex.model().predict(&probe));
+        let space = ParamSpace::new(vec![
+            ParamSpec::log("m", 32.0, 2048.0),
+            ParamSpec::log_int("n", 32.0, 2048.0),
+            ParamSpec::categorical("alg", 3),
+        ]);
+        let cp = cpr_completion::init_positive(&[6, 6, 3], 2, 3.0, 5);
+        let model = CprModel::from_parts(space, &[6, 6, 3], cp, Loss::MLogQ2, 0.0).unwrap();
+        let ex = CprExtrapolator::from_model(model, 12).unwrap();
+        let probes = [
+            [300.0, 300.0, 1.0],
+            [300.5, 1000.5, 0.0],
+            [77.25, 33.0, 2.0],
+            [32.0, 32.0, 0.0],
+            [2048.0, 2048.0, 2.0],
+            [32.0, 2048.0, 1.0],
+            [500.0, 64.0, 7.0],
+            [2048.0, 32.0, -3.0],
+        ];
+        for x in probes {
+            let want = ex.model().predict(&x).to_bits();
+            assert_eq!(ex.predict(&x).to_bits(), want, "{x:?}");
+        }
     }
 
     #[test]

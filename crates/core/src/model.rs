@@ -437,8 +437,17 @@ fn geometric_mean(values: &[f64]) -> f64 {
 /// models are order ≤ 7 (paper Table 2); higher orders allocate them per
 /// query, still bitwise-correct.
 const PLAN_STACK_ORDER: usize = 16;
-/// Mirrors `cpr_tensor`'s stack-accumulator rank bound.
+/// Stack bound of the dynamic-rank kernels' rank scratch; mirrors
+/// `cpr_tensor`'s stack-accumulator rank bound.
 const PLAN_STACK_RANK: usize = 64;
+/// The one rank the separable kernels are compiled for (`[f64; R]`
+/// accumulators and rows): the rank the benchmark apps fit at. Every other
+/// rank runs the dynamic-rank kernels, with the same steps.
+const FIXED_RANK: usize = 4;
+/// Queries per parallel work item of [`PredictPlan::predict_into`]: small
+/// enough to load-balance a 50k batch and keep the chunk scratch
+/// L1-resident, large enough to amortize pool dispatch.
+const PLAN_CHUNK: usize = 256;
 /// Largest grid (in cells) pre-evaluated into the dense corner-value table
 /// at bake time. 64k cells = 512 KiB of doubles — covers every paper-scale
 /// grid (8⁵ = 32k) while bounding both bake time (`O(cells · d · R)`) and
@@ -472,6 +481,10 @@ const _: () = {
 /// * a [`PackedFactors`] copy of the factors — every per-mode read is a
 ///   contiguous rank-length row from one allocation;
 /// * the observed-row masks, so Eq. 5 stencil masking needs no grid access;
+/// * for CP log-least-squares plans, the masked blended factor row of
+///   every memo slot: the row the separable fold would blend for that
+///   integer, so a memo hit is one rank-length row load (`L · R · 8` bytes
+///   for `L` memo slots at rank `R`);
 /// * for MLogQ² CP and for Tucker plans on grids up to 64k cells, a dense
 ///   table of every corner value (see `DenseEval`).
 ///
@@ -482,17 +495,23 @@ const _: () = {
 ///   so the `2^d`-corner sum factorizes into one blended row per mode,
 ///   `b_j = (1 − w_j)·U_j[lo_j] + w_j·U_j[hi_j]` (just `U_j[lo_j]` for a
 ///   point stencil), multiplied elementwise in mode order and summed over
-///   the rank: `O(d·R)` per query instead of `O(2^d·d·R)`. These plans
-///   carry no dense table.
+///   the rank: `O(d·R)` per query instead of `O(2^d·d·R)`. A memo hit
+///   multiplies in the slot's baked row, bitwise the blend it stands for.
+///   At rank 4 the kernels run at a compile-time rank (`[f64; 4]`
+///   accumulators, rows viewed as `[f64; 4]`), at any other rank at
+///   run-time rank, with the same steps, so the shapes are bitwise
+///   interchangeable. These plans carry no dense table.
 /// * **MLogQ² CP** (which interpolates `ln` of the corner values) and
 ///   **Tucker** do not factorize: they run the reference path's own
 ///   corner sum, [`interpolate_corners`], over the masked stencils. Each
 ///   corner value is one load from the dense table when the plan carries
 ///   one, and is evaluated from the packed factors otherwise.
 ///
-/// [`Self::predict`] allocates nothing (stack scratch up to order 16 and
-/// rank 64), except that Tucker corner values evaluated from the factors
-/// allocate inside the core iteration (`DenseTensor::iter_indexed`).
+/// [`Self::predict`] allocates nothing at rank 4 (stack accumulator), at
+/// other ranks up to 64 (stack rank scratch) and in the corner sum up to
+/// order 16 (stack stencils); beyond those bounds the scratch moves to the
+/// heap, and Tucker corner values evaluated from the factors allocate
+/// inside the core iteration (`DenseTensor::iter_indexed`).
 /// [`Self::predict_into`] fans a batch out over the crate thread pool in
 /// fixed chunks onto a caller-provided buffer.
 ///
@@ -500,9 +519,10 @@ const _: () = {
 /// output are **bitwise identical** to the reference path
 /// [`CprModel::predict_naive`] for every non-NaN query, at any thread
 /// count, and batch outputs are written in input order. The equivalence
-/// is pinned by proptests over random models of orders 1–9, every axis
-/// kind, both losses and random masks, and by order-17 CP and Tucker
-/// cases.
+/// is pinned by proptests over random models of orders 1–9 and ranks 1–9,
+/// every axis kind, both losses and random masks, by order-17 CP and
+/// Tucker cases, and by a unit test that runs every separable kernel shape
+/// against the others.
 ///
 /// A plan is a bake, not a view: [`CprModel`] rebakes it whenever the
 /// factors or observation masks change (fit, deserialization,
@@ -525,6 +545,11 @@ pub struct PredictPlan {
     /// Pre-evaluated corner values over the whole grid, for the plans that
     /// expand corners (MLogQ² CP, Tucker) when the grid fits.
     dense: Option<DenseEval>,
+    /// Separable plans only: per mode, the masked blended factor row of
+    /// every slot of that mode's integer stencil memo, slot-major, one
+    /// rank-length row a slot (empty for a mode without a memo; see
+    /// `bake_memo_rows`). The other plans hold none.
+    memo_rows: Vec<Vec<f64>>,
 }
 
 /// The partial-evaluation half of the bake for the plans that expand
@@ -569,13 +594,15 @@ impl PredictPlan {
     ) -> Self {
         let packed = decomp.packed();
         let separable = decomp.as_cp().is_some() && loss == Loss::LogLeastSquares;
-        let dense = if separable {
-            None
+        let tables = grid.bake_tables();
+        let (dense, memo_rows) = if separable {
+            (None, Self::bake_memo_rows(&tables, &packed, row_observed))
         } else {
-            Self::bake_dense(decomp, &packed, &grid.dims(), loss)
+            let dense = Self::bake_dense(decomp, &packed, &grid.dims(), loss);
+            (dense, Vec::new())
         };
         Self {
-            tables: grid.bake_tables(),
+            tables,
             packed,
             row_observed: row_observed.to_vec(),
             loss,
@@ -583,7 +610,32 @@ impl PredictPlan {
             rank: decomp.max_rank(),
             tucker_core: decomp.as_tucker().map(|t| t.core().clone()),
             dense,
+            memo_rows,
         }
+    }
+
+    /// The blended row of every memo slot of every mode, for the separable
+    /// kernels: the slot's stencil ([`AxisTable::memo_stencils`]) folded
+    /// through `fold_stencil` into a ones row. `1.0 · b ≡ b` bitwise, so
+    /// a row holds exactly the masked blend `b` the fold multiplies into
+    /// the accumulator for that integer, and a memo hit that multiplies in
+    /// the stored row computes the same bits.
+    fn bake_memo_rows(
+        tables: &[AxisTable],
+        packed: &PackedFactors,
+        row_observed: &[Vec<bool>],
+    ) -> Vec<Vec<f64>> {
+        let mut all = Vec::with_capacity(tables.len());
+        for (j, (table, observed)) in tables.iter().zip(row_observed).enumerate() {
+            let r = packed.stride(j);
+            let mut rows = vec![1.0; table.memo_stencils().len() * r];
+            for (s, stencil) in table.memo_stencils().enumerate() {
+                let row = &mut rows[s * r..(s + 1) * r];
+                fold_stencil(row, observed, |i| packed.row(j, i), stencil);
+            }
+            all.push(rows);
+        }
+        all
     }
 
     /// Evaluate the completed tensor at every grid cell (row-major), in
@@ -663,12 +715,14 @@ impl PredictPlan {
 
     /// Baked size in bytes (axis tables with their integer memos + packed
     /// factors + the Tucker core when present + masks + the dense
-    /// corner-value table when present).
+    /// corner-value table when present + a separable plan's memo rows,
+    /// `L · R · 8` bytes for `L` memo slots at rank `R`).
     pub fn size_bytes(&self) -> usize {
         let tables: usize = self.tables.iter().map(AxisTable::size_bytes).sum();
         let masks: usize = self.row_observed.iter().map(Vec::len).sum();
         let core: usize = self.tucker_core.as_ref().map_or(0, |c| c.len() * 8);
-        self.packed.size_bytes() + tables + masks + core + self.dense_cache_bytes()
+        let memo_rows: usize = self.memo_rows.iter().map(|rows| rows.len() * 8).sum();
+        self.packed.size_bytes() + tables + masks + core + self.dense_cache_bytes() + memo_rows
     }
 
     /// Contiguous baked factor row (rank-length) of one mode — the SoA
@@ -688,7 +742,7 @@ impl PredictPlan {
             "predict: configuration order mismatch"
         );
         if self.is_separable() {
-            self.with_rank_scratch(|acc| self.predict_separable(x, acc))
+            self.predict_separable(x)
         } else {
             self.predict_corners(x)
         }
@@ -712,46 +766,58 @@ impl PredictPlan {
         }
     }
 
-    /// Single-query separable kernel (CP, log-least-squares): fold each
-    /// mode's blended factor row into the rank accumulator, then finish.
-    /// The accumulator seeds with ones — `1.0 · b ≡ b` bitwise for every
-    /// non-NaN `b` — exactly as the naive spec does.
+    /// Single-query separable kernel (CP, log-least-squares): the
+    /// compile-time-rank kernel at [`FIXED_RANK`], the dynamic-rank one at
+    /// any other rank. Both run the same `fold_query` steps, so they are
+    /// bitwise interchangeable.
     #[inline]
-    fn predict_separable(&self, x: &[f64], acc: &mut [f64]) -> f64 {
+    fn predict_separable(&self, x: &[f64]) -> f64 {
+        if self.rank == FIXED_RANK {
+            self.predict_fixed::<FIXED_RANK>(x)
+        } else {
+            self.with_rank_scratch(|acc| self.predict_dyn(x, acc))
+        }
+    }
+
+    /// The separable kernel at compile-time rank `R`: a `[f64; R]`
+    /// accumulator seeded with ones (`1.0 · b ≡ b` bitwise for every
+    /// non-NaN `b`, as in the naive spec), one `fold_query` step per mode,
+    /// then the rank sum and finish.
+    #[inline]
+    fn predict_fixed<const R: usize>(&self, x: &[f64]) -> f64 {
+        let mut acc = [1.0f64; R];
+        let modes = self.tables.iter().zip(&self.row_observed);
+        for (j, ((table, observed), &xj)) in modes.zip(x).enumerate() {
+            let (factors, memo) = self.rows_fixed::<R>(j);
+            let factor = |i: usize| factors[i].as_slice();
+            let memo_row = |s: usize| memo[s].as_slice();
+            fold_query(&mut acc, table, observed, factor, memo_row, xj);
+        }
+        self.finish_separable(&acc)
+    }
+
+    /// The dynamic-rank separable kernel: the steps of
+    /// [`Self::predict_fixed`] over a run-time-length accumulator and rows.
+    #[inline]
+    fn predict_dyn(&self, x: &[f64], acc: &mut [f64]) -> f64 {
+        let r = self.rank;
         acc.fill(1.0);
-        for (j, &xj) in x.iter().enumerate() {
-            let (a0, a1, w1, degen) = self.masked_stencil(j, xj);
-            self.fold_blended_row(acc, j, a0, a1, w1, degen);
+        let modes = self.tables.iter().zip(&self.row_observed);
+        for (j, ((table, observed), &xj)) in modes.zip(x).enumerate() {
+            let memo = &self.memo_rows[j];
+            let factor = |i: usize| self.packed.row(j, i);
+            let memo_row = |s: usize| &memo[s * r..(s + 1) * r];
+            fold_query(acc, table, observed, factor, memo_row, xj);
         }
         self.finish_separable(acc)
     }
 
-    /// `acc *= b_j` for mode `j`'s blended row
-    /// `b_j = (1 − w1)·U_j[a0] + w1·U_j[a1]`, or `b_j = U_j[a0]` for a
-    /// point stencil — the operation order of the naive spec
-    /// (`separable_corner_sum`).
+    /// Mode `j`'s packed factor rows and memo rows, as `[f64; R]` rows.
     #[inline(always)]
-    fn fold_blended_row(
-        &self,
-        acc: &mut [f64],
-        j: usize,
-        a0: usize,
-        a1: usize,
-        w1: f64,
-        degen: bool,
-    ) {
-        let lo = self.packed.row(j, a0);
-        if degen {
-            for (a, &u) in acc.iter_mut().zip(lo) {
-                *a *= u;
-            }
-        } else {
-            let hi = self.packed.row(j, a1);
-            let w0 = 1.0 - w1;
-            for ((a, &u0), &u1) in acc.iter_mut().zip(lo).zip(hi) {
-                *a *= w0 * u0 + w1 * u1;
-            }
-        }
+    fn rows_fixed<const R: usize>(&self, j: usize) -> (&[[f64; R]], &[[f64; R]]) {
+        let p = &self.packed;
+        let factors = &p.as_slice()[p.row_start(j, 0)..p.row_start(j, p.rows(j))];
+        (factors.as_chunks().0, self.memo_rows[j].as_chunks().0)
     }
 
     /// Rank sum, offset, clamp and `exp` of a separable accumulator.
@@ -812,65 +878,105 @@ impl PredictPlan {
         log_pred.clamp(-690.0, 690.0).exp()
     }
 
-    /// Batched prediction onto a caller-provided buffer. Chunks fan out
-    /// over the crate thread pool; within a chunk, separable plans (CP,
-    /// log-least-squares) quantize **axis-major** through
-    /// [`AxisTable::stencils_for_each`] (one axis's table stays
-    /// register/L1-resident across the whole chunk, memo loads and the
-    /// per-query `ln` chains of searched axes overlap) and fold each
-    /// stencil's blended factor row straight into a chunk-wide `m × R`
-    /// accumulator, mode by mode, then finish each query's rank sum — no
-    /// per-query corner loop. The other plans run the single-query corner
-    /// sum per query.
+    /// Batched prediction onto a caller-provided buffer. Chunks of 256
+    /// queries fan out over the crate thread pool. Within a chunk,
+    /// separable plans (CP, log-least-squares) run axis-major: one axis's
+    /// table, memo and memo rows stay register/L1-resident across the
+    /// chunk while each query's step folds into a chunk-wide `m × R`
+    /// accumulator. An axis without a memo quantizes the chunk through
+    /// [`AxisTable::stencils_for_each`] (one lookup-kind branch per chunk,
+    /// and the `ln` chains of searched axes overlap); on an axis with one,
+    /// a memo hit multiplies in the slot's baked row, and only a miss
+    /// quantizes. Each query's rank sum is then finished — no per-query
+    /// corner loop. Like [`Self::predict`], a separable chunk runs at a
+    /// compile-time rank at rank 4 and at run-time rank otherwise; at every
+    /// rank its accumulator is one heap allocation per chunk, sized to the
+    /// chunk, so a batch of one pays for one query. The other plans run the
+    /// single-query corner sum per query.
     ///
-    /// Scratch is per chunk. Outputs land at the input index, so results
-    /// are independent of the worker count.
+    /// Outputs land at the input index, so results are independent of the
+    /// worker count.
     pub fn predict_into<X: AsRef<[f64]> + Sync>(&self, xs: &[X], out: &mut [f64]) {
         assert_eq!(xs.len(), out.len(), "predict_into: output length mismatch");
-        /// Queries per parallel work item: small enough to load-balance a
-        /// 50k batch and keep the chunk scratch L1-resident, large enough
-        /// to amortize pool dispatch and scratch setup.
-        const CHUNK: usize = 256;
         let d = self.order();
-        out.par_chunks_mut(CHUNK)
+        out.par_chunks_mut(PLAN_CHUNK)
             .enumerate()
             .for_each(|(c, chunk)| {
-                let base = c * CHUNK;
-                // Resolve and validate the chunk's query slices.
-                let mut xr: Vec<&[f64]> = Vec::with_capacity(chunk.len());
-                for k in 0..chunk.len() {
-                    let x = xs[base + k].as_ref();
+                let base = c * PLAN_CHUNK;
+                let xs = &xs[base..base + chunk.len()];
+                for (k, x) in xs.iter().enumerate() {
                     assert_eq!(
-                        x.len(),
+                        x.as_ref().len(),
                         d,
                         "predict_into: configuration order mismatch at sample {}",
                         base + k
                     );
-                    xr.push(x);
                 }
                 if self.is_separable() {
-                    self.separable_chunk(chunk, &xr);
+                    self.separable_chunk(chunk, xs);
                 } else {
-                    for (o, x) in chunk.iter_mut().zip(&xr) {
-                        *o = self.predict_corners(x);
+                    for (o, x) in chunk.iter_mut().zip(xs) {
+                        *o = self.predict_corners(x.as_ref());
                     }
                 }
             });
     }
 
-    /// One chunk of the separable serve: quantization, masking and the
-    /// blended-row fold fused axis by axis into an `m × R` accumulator
-    /// (query-major rows), then each query's rank sum. Per query this is
-    /// the operation sequence of [`Self::predict_separable`].
-    fn separable_chunk(&self, chunk: &mut [f64], xr: &[&[f64]]) {
+    /// One chunk of the separable serve (at most [`PLAN_CHUNK`] queries),
+    /// dispatched on the rank as in [`Self::predict_separable`].
+    fn separable_chunk<X: AsRef<[f64]>>(&self, chunk: &mut [f64], xs: &[X]) {
+        if self.rank == FIXED_RANK {
+            self.chunk_fixed::<FIXED_RANK, X>(chunk, xs)
+        } else {
+            self.chunk_dyn(chunk, xs)
+        }
+    }
+
+    /// A separable chunk at compile-time rank `R`, axis by axis into an
+    /// `m × R` accumulator (query-major rows). Per query this is the step
+    /// sequence of [`Self::predict_fixed`].
+    fn chunk_fixed<const R: usize, X: AsRef<[f64]>>(&self, chunk: &mut [f64], xs: &[X]) {
+        let mut acc = vec![[1.0f64; R]; chunk.len()];
+        for (j, table) in self.tables.iter().enumerate() {
+            let (factors, memo) = self.rows_fixed::<R>(j);
+            let observed = &self.row_observed[j];
+            let factor = |i: usize| factors[i].as_slice();
+            if memo.is_empty() {
+                table.stencils_for_each(xs.iter().map(|x| x.as_ref()[j]), |k, stencil| {
+                    fold_stencil(&mut acc[k], observed, factor, stencil)
+                });
+            } else {
+                let memo_row = |s: usize| memo[s].as_slice();
+                for (a, x) in acc.iter_mut().zip(xs) {
+                    fold_query(a, table, observed, factor, memo_row, x.as_ref()[j]);
+                }
+            }
+        }
+        for (o, a) in chunk.iter_mut().zip(acc.iter()) {
+            *o = self.finish_separable(a);
+        }
+    }
+
+    /// The dynamic-rank chunk kernel: [`Self::chunk_fixed`] over a flat
+    /// `m × R` accumulator and run-time-length rows.
+    fn chunk_dyn<X: AsRef<[f64]>>(&self, chunk: &mut [f64], xs: &[X]) {
         let r = self.rank;
         let mut acc = vec![1.0f64; chunk.len() * r];
         for (j, table) in self.tables.iter().enumerate() {
+            let memo = &self.memo_rows[j];
             let observed = &self.row_observed[j];
-            table.stencils_for_each(xr.iter().map(|x| x[j]), |k, (i0, i1, w1)| {
-                let (a0, a1, w1, degen) = apply_mask(observed, i0, i1, w1);
-                self.fold_blended_row(&mut acc[k * r..(k + 1) * r], j, a0, a1, w1, degen);
-            });
+            let factor = |i: usize| self.packed.row(j, i);
+            if memo.is_empty() {
+                table.stencils_for_each(xs.iter().map(|x| x.as_ref()[j]), |k, stencil| {
+                    fold_stencil(&mut acc[k * r..(k + 1) * r], observed, factor, stencil)
+                });
+            } else {
+                let memo_row = |s: usize| &memo[s * r..(s + 1) * r];
+                for (k, x) in xs.iter().enumerate() {
+                    let a = &mut acc[k * r..(k + 1) * r];
+                    fold_query(a, table, observed, factor, memo_row, x.as_ref()[j]);
+                }
+            }
         }
         for (k, o) in chunk.iter_mut().enumerate() {
             *o = self.finish_separable(&acc[k * r..(k + 1) * r]);
@@ -911,6 +1017,57 @@ fn apply_mask(observed: &[bool], i0: usize, i1: usize, w1: f64) -> (usize, usize
             (true, false) => (i0, i0, 0.0, true),
             (false, true) => (i1, i1, 0.0, true),
             _ => (i0, i1, w1.clamp(-1.0, 2.0), false),
+        }
+    }
+}
+
+/// One (query, mode) step of the separable fold, `acc *= b` for the mode's
+/// blended row `b`, shared by every separable kernel at every rank: on a
+/// memo hit ([`AxisTable::memo_slot`]) `b` is the slot's baked row
+/// (`memo_row(s)`, see `PredictPlan::bake_memo_rows`); otherwise the
+/// table's stencil goes through [`fold_stencil`]. `factor(i)` is factor row
+/// `i` of the mode; every row is rank-length.
+#[inline(always)]
+fn fold_query<'a>(
+    acc: &mut [f64],
+    table: &AxisTable,
+    observed: &[bool],
+    factor: impl Fn(usize) -> &'a [f64],
+    memo_row: impl Fn(usize) -> &'a [f64],
+    x: f64,
+) {
+    match table.memo_slot(x) {
+        Some(s) => {
+            for (a, &b) in acc.iter_mut().zip(memo_row(s)) {
+                *a *= b;
+            }
+        }
+        None => fold_stencil(acc, observed, factor, table.stencil(x)),
+    }
+}
+
+/// `acc *= b` for one mode's stencil: [`apply_mask`], then the blended row
+/// `b = (1 − w1)·U[a0] + w1·U[a1]`, or `b = U[a0]` for a point stencil —
+/// the operation order of the naive spec (`separable_corner_sum`).
+/// `factor(i)` is factor row `i` of the mode.
+#[inline(always)]
+fn fold_stencil<'a>(
+    acc: &mut [f64],
+    observed: &[bool],
+    factor: impl Fn(usize) -> &'a [f64],
+    (i0, i1, w1): (usize, usize, f64),
+) {
+    let (a0, a1, w1, degen) = apply_mask(observed, i0, i1, w1);
+    let lo = factor(a0);
+    if degen {
+        for (a, &u) in acc.iter_mut().zip(lo) {
+            *a *= u;
+        }
+    } else {
+        let hi = factor(a1);
+        let w0 = 1.0 - w1;
+        for ((a, &u0), &u1) in acc.iter_mut().zip(lo).zip(hi) {
+            *a *= w0 * u0 + w1 * u1;
         }
     }
 }
@@ -1687,6 +1844,171 @@ mod tests {
             assert_eq!(*b, 0.5f64.exp());
             assert_eq!(b.to_bits(), model.predict(x).to_bits());
             assert_eq!(b.to_bits(), model.predict_naive(x).to_bits());
+        }
+    }
+
+    /// The space of the separable-kernel tests: two memoized integer axes
+    /// (32 and 6 slots), an integer axis too wide for a memo, log and
+    /// linear float axes and a categorical axis.
+    fn shape_space() -> (ParamSpace, Vec<usize>) {
+        let space = ParamSpace::new(vec![
+            ParamSpec::log_int("g", 1.0, 32.0),
+            ParamSpec::linear_int("l", 0.0, 5.0),
+            ParamSpec::log_int("m", 32.0, 4096.0),
+            ParamSpec::log("x", 0.5, 100.0),
+            ParamSpec::linear("y", -3.0, 7.5),
+            ParamSpec::categorical("c", 3),
+        ]);
+        (space, vec![8, 6, 7, 5, 4, 3])
+    }
+
+    /// A probe of one axis: an integer of the domain, a fractional value,
+    /// an integral or fractional value out of the domain, or `-0.0`.
+    fn shape_probe(spec: &ParamSpec, rng: &mut StdRng) -> f64 {
+        match *spec {
+            ParamSpec::Numerical { lo, hi, .. } => match rng.gen_range(0..6) {
+                0 | 1 => rng.gen_range(lo.ceil() as i64..=hi.floor() as i64) as f64,
+                2 => lo + (hi - lo) * rng.gen::<f64>(),
+                3 => (lo - (hi - lo) * rng.gen::<f64>()).floor(),
+                4 => hi + (hi - lo) * rng.gen::<f64>(),
+                _ => -0.0,
+            },
+            ParamSpec::Categorical { cardinality, .. } => {
+                rng.gen_range(0..cardinality + 2) as f64 - 1.0
+            }
+        }
+    }
+
+    /// Install observed-row masks through an observation tensor whose
+    /// entry `t` takes the `t`-th observed row of every mode (cycling).
+    fn install_masks(model: &mut CprModel, masks: &[Vec<bool>]) {
+        let rows: Vec<Vec<usize>> = masks
+            .iter()
+            .map(|m| (0..m.len()).filter(|&i| m[i]).collect())
+            .collect();
+        let mut obs = SparseTensor::new(&model.grid().dims());
+        for t in 0..rows.iter().map(Vec::len).max().unwrap() {
+            let idx: Vec<usize> = rows.iter().map(|r| r[t % r.len()]).collect();
+            obs.push(&idx, 1.0);
+        }
+        model.set_row_observed_from(&obs);
+    }
+
+    /// Every shape of the separable kernels gives the spec's bits: at each
+    /// rank, `predict` and `predict_into` (the compile-time-rank kernels at
+    /// `FIXED_RANK`, the dynamic-rank ones elsewhere) and the dynamic-rank
+    /// kernels called directly, single-query and in chunks, are all bitwise
+    /// equal to `predict_naive`, and so to each other, at batch lengths 1,
+    /// 255, 256 and 257 (a partial, a full and a full-plus-one chunk). Random masks on every mode but
+    /// the 6-slot memoized one, which is masked to alternate so that every
+    /// masked stencil there, memo slots included, collapses to a point
+    /// stencil. The fixed shapes exist for optimized codegen, so CI runs
+    /// this in release too.
+    #[test]
+    fn separable_kernel_shapes_bitwise_match() {
+        let (space, cells) = shape_space();
+        let dims = space.grid_with_cells(&cells).dims();
+        let mut rng = StdRng::seed_from_u64(23);
+        for rank in [1usize, 3, FIXED_RANK, 5, 8] {
+            let cp = CpDecomp::random(&dims, rank, -1.0, 1.0, 40 + rank as u64);
+            let mut model =
+                CprModel::from_parts(space.clone(), &cells, cp, Loss::LogLeastSquares, 0.37)
+                    .unwrap();
+            let mut masks: Vec<Vec<bool>> = dims
+                .iter()
+                .map(|&n| {
+                    let mut m: Vec<bool> = (0..n).map(|_| rng.gen::<f64>() < 0.7).collect();
+                    m[rng.gen_range(0..n)] = true;
+                    m
+                })
+                .collect();
+            masks[1] = (0..dims[1]).map(|i| i % 2 == 0).collect();
+            install_masks(&mut model, &masks);
+            let plan = model.plan();
+            // Every memo row of the alternating mode is a plain factor row.
+            let collapsed = &plan.memo_rows[1];
+            assert_eq!(collapsed.len(), 6 * rank);
+            for row in collapsed.chunks(rank) {
+                assert!((0..dims[1]).any(|i| plan.factor_row(1, i) == row));
+            }
+            let what = |n: usize, k: usize| format!("rank {rank}, batch {n}, query {k}");
+            for n in [1usize, 255, 256, 257] {
+                let xs: Vec<Vec<f64>> = (0..n)
+                    .map(|_| {
+                        space
+                            .params()
+                            .iter()
+                            .map(|p| shape_probe(p, &mut rng))
+                            .collect()
+                    })
+                    .collect();
+                let naive: Vec<u64> = xs
+                    .iter()
+                    .map(|x| model.predict_naive(x).to_bits())
+                    .collect();
+                let mut into = vec![0.0; n];
+                plan.predict_into(&xs, &mut into);
+                let mut dyn_chunks = vec![0.0; n];
+                for (c, xc) in xs.chunks(PLAN_CHUNK).enumerate() {
+                    let span = c * PLAN_CHUNK..c * PLAN_CHUNK + xc.len();
+                    plan.chunk_dyn(&mut dyn_chunks[span], xc);
+                }
+                for (k, x) in xs.iter().enumerate() {
+                    let mut scratch = vec![0.0; rank];
+                    assert_eq!(
+                        plan.predict(x).to_bits(),
+                        naive[k],
+                        "predict, {}",
+                        what(n, k)
+                    );
+                    assert_eq!(into[k].to_bits(), naive[k], "predict_into, {}", what(n, k));
+                    let single_dyn = plan.predict_dyn(x, &mut scratch);
+                    assert_eq!(
+                        single_dyn.to_bits(),
+                        naive[k],
+                        "predict_dyn, {}",
+                        what(n, k)
+                    );
+                    assert_eq!(
+                        dyn_chunks[k].to_bits(),
+                        naive[k],
+                        "chunk_dyn, {}",
+                        what(n, k)
+                    );
+                }
+            }
+        }
+    }
+
+    /// A separable plan's memo rows add `L · R · 8` bytes to
+    /// `PredictPlan::size_bytes` for `L` memo slots at rank `R`: the same
+    /// parts served as MLogQ² CP (no memo rows), without the dense table,
+    /// are exactly that much smaller.
+    #[test]
+    fn memo_rows_add_slots_times_rank_times_eight_bytes() {
+        let (space, cells) = shape_space();
+        let dims = space.grid_with_cells(&cells).dims();
+        for rank in [1usize, 4, 5, 8] {
+            let cp = CpDecomp::random(&dims, rank, 0.1, 1.5, rank as u64);
+            let sep = CprModel::from_parts(
+                space.clone(),
+                &cells,
+                cp.clone(),
+                Loss::LogLeastSquares,
+                0.0,
+            )
+            .unwrap();
+            let corner =
+                CprModel::from_parts(space.clone(), &cells, cp, Loss::MLogQ2, 0.0).unwrap();
+            let slots: usize = sep
+                .plan()
+                .tables
+                .iter()
+                .map(|t| t.memo_stencils().len())
+                .sum();
+            assert_eq!(slots, 32 + 6);
+            let grown = sep.plan().size_bytes() - corner.plan().without_dense_cache().size_bytes();
+            assert_eq!(grown, slots * rank * 8, "rank {rank}");
         }
     }
 

@@ -266,7 +266,7 @@ proptest! {
     fn plan_is_bitwise_identical_to_naive_predict(
         params in proptest::collection::vec(axis_strategy(), 1..=9),
         cells in 1usize..7,
-        rank in 1usize..7,
+        rank in 1usize..10,
         log_loss in 0usize..2,
         seed in 0u64..1_000,
     ) {
@@ -298,7 +298,7 @@ proptest! {
     fn batched_plan_queries_are_thread_count_invariant(
         params in proptest::collection::vec(axis_strategy(), 1..=9),
         cells in 2usize..8,
-        rank in 1usize..5,
+        rank in 1usize..10,
         log_loss in 0usize..2,
         seed in 0u64..500,
     ) {

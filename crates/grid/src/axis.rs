@@ -223,7 +223,10 @@ const INT_MEMO_MAX: usize = 256;
 /// also bakes the stencil of every integer of its domain, so an integral
 /// query (the paper rounds every integer parameter, §6.0.3) costs one load
 /// there: no `ln`, search or division. Other values on such an axis take
-/// the search.
+/// the search. [`Self::memo_slot`] is that hit test and
+/// [`Self::memo_stencils`] the memoized stencils, so a consumer can bake
+/// per-slot data of its own: the compiled query path one crate up bakes
+/// each slot's blended factor row.
 ///
 /// Contract: `table.stencil(x)` returns bitwise-identical `(i0, i1, w1)` to
 /// `axis.stencil(x)` for every non-NaN `x`; numerical-axis tables panic on
@@ -338,25 +341,52 @@ impl AxisTable {
         self.weighted(hx, i)
     }
 
-    /// Memoized lookup: one load when `x` is bitwise an integer
-    /// `int_lo + k` of the domain, the search otherwise (fractional and
-    /// out-of-domain values, `-0.0`, NaN). Entry `k` was baked from
-    /// `stencil_search(int_lo + k)`, the very value the hit test compares
-    /// `x` against, so a hit is the search's answer bit for bit.
+    /// The memo slot serving `x`: `Some(k)` when this table memoizes an
+    /// integer domain and `x` is bitwise its integer `int_lo + k`, `None`
+    /// otherwise (fractional and out-of-domain values, `-0.0`, NaN,
+    /// infinities, and every table without a memo). This is the memo's one
+    /// hit test: the stencil lookups call it, and the query path one crate
+    /// up indexes its own per-slot bakes with the slot.
     #[inline(always)]
-    fn stencil_memo(&self, int_lo: f64, x: f64) -> (usize, usize, f64) {
+    pub fn memo_slot(&self, x: f64) -> Option<usize> {
+        let TableKind::Memo { int_lo } = self.kind else {
+            return None;
+        };
         let k = x - int_lo;
         if k >= 0.0 {
-            // Saturating cast: infinities and huge values miss `get`.
+            // Saturating cast: infinities and huge values fail the bound.
             let k = k as usize;
-            if let Some(&(i, w1)) = self.memo.get(k) {
-                if (int_lo + k as f64).to_bits() == x.to_bits() {
-                    let i = i as usize;
-                    return (i, i + 1, w1);
-                }
+            if k < self.memo.len() && (int_lo + k as f64).to_bits() == x.to_bits() {
+                return Some(k);
             }
         }
-        self.stencil_search(x)
+        None
+    }
+
+    /// The stencil of each memo slot in slot order, bitwise what
+    /// [`Self::stencil`] returns for the slot's integer (empty without a
+    /// memo).
+    pub fn memo_stencils(&self) -> impl ExactSizeIterator<Item = (usize, usize, f64)> + '_ {
+        self.memo.iter().map(|&(i, w1)| {
+            let i = i as usize;
+            (i, i + 1, w1)
+        })
+    }
+
+    /// Memoized lookup: one load on a [`Self::memo_slot`] hit, the search
+    /// otherwise. Entry `k` was baked from `stencil_search(int_lo + k)`,
+    /// the very value the hit test compares `x` against, so a hit is the
+    /// search's answer bit for bit.
+    #[inline(always)]
+    fn stencil_memo(&self, x: f64) -> (usize, usize, f64) {
+        match self.memo_slot(x) {
+            Some(k) => {
+                let (i, w1) = self.memo[k];
+                let i = i as usize;
+                (i, i + 1, w1)
+            }
+            None => self.stencil_search(x),
+        }
     }
 
     /// Interpolation stencil for value `x`; bitwise-identical to
@@ -375,7 +405,7 @@ impl AxisTable {
             }
             TableKind::Direct { inv_step } => self.stencil_direct(inv_step, x),
             TableKind::Search => self.stencil_search(x),
-            TableKind::Memo { int_lo } => self.stencil_memo(int_lo, x),
+            TableKind::Memo { .. } => self.stencil_memo(x),
         }
     }
 
@@ -412,9 +442,9 @@ impl AxisTable {
                     sink(k, self.stencil_search(x));
                 }
             }
-            TableKind::Memo { int_lo } => {
+            TableKind::Memo { .. } => {
                 for (k, x) in xs.enumerate() {
-                    sink(k, self.stencil_memo(int_lo, x));
+                    sink(k, self.stencil_memo(x));
                 }
             }
         }
@@ -693,6 +723,20 @@ mod tests {
             let (i0, i1, w1) = a.stencil(x);
             let (j0, j1, v1) = t.stencil(x);
             assert_eq!((i0, i1, w1.to_bits()), (j0, j1, v1.to_bits()), "x={x}");
+            // The slot hit test: exactly the integers of the domain, by bits.
+            let int = (x - lo.ceil()) as usize;
+            let hit = x >= lo.ceil()
+                && int < t.memo.len()
+                && (lo.ceil() + int as f64).to_bits() == x.to_bits();
+            assert_eq!(t.memo_slot(x), hit.then_some(int), "x={x}");
+        }
+        // Slot `k`'s stencil is the naive stencil of the integer `int_lo + k`.
+        assert_eq!(t.memo_stencils().len(), t.memo.len());
+        for (k, (j0, j1, v1)) in t.memo_stencils().enumerate() {
+            let v = lo.ceil() + k as f64;
+            assert_eq!(t.memo_slot(v), Some(k));
+            let (i0, i1, w1) = a.stencil(v);
+            assert_eq!((i0, i1, w1.to_bits()), (j0, j1, v1.to_bits()), "v={v}");
         }
         let mut seen = 0usize;
         t.stencils_for_each(xs.iter().copied(), |k, (j0, j1, v1)| {
@@ -751,6 +795,12 @@ mod tests {
                 !t.memo.is_empty(),
                 "{spec:?}"
             );
+            assert_eq!(t.memo_stencils().len(), t.memo.len());
+            if t.memo.is_empty() {
+                // No memo, no slot: not even for an in-range integer.
+                let (lo, _) = spec.range().unwrap_or((0.0, 0.0));
+                assert_eq!(t.memo_slot(lo.ceil()), None, "{spec:?}");
+            }
             t.memo.len()
         };
         assert_eq!(memo_len(ParamSpec::linear_int("p", 1.0, 9.0), 20), 9);
