@@ -7,9 +7,10 @@
 //! entries with `Π R_j` unknowns.
 //!
 //! The streamed sweep mirrors the CP optimizers: row loops walk the packed
-//! per-mode [`ModeStream`] layouts (contiguous values + foreign
-//! multi-indices), factor rows are read through a [`PackedFactors`] bake,
-//! and the design vectors come from a mode-`m` core unfolding contracted
+//! per-mode [`ModeStream`] layouts (contiguous values; each slot's
+//! coordinates read through its entry id), factor rows are read through a
+//! [`PackedFactors`] bake, and the design vectors come from a mode-`m` core
+//! unfolding contracted
 //! against an incrementally built Kronecker vector — `O(Π R_j)` contiguous
 //! multiply-adds per observation instead of the old per-core-element
 //! div/mod walk (which also allocated a `Vec` per core element through
@@ -51,7 +52,7 @@ pub fn tucker_als(t: &mut TuckerDecomp, obs: &SparseTensor, spec: &CompletionSpe
     let mut prev = tucker_objective(t, obs, spec.lambda);
     for _sweep in 0..spec.stop.max_sweeps {
         for (mode, stream) in streams.iter().enumerate() {
-            update_factor_streamed(t, stream, mode, spec.lambda);
+            update_factor_streamed(t, obs, stream, mode, spec.lambda);
         }
         // Incremental-Kronecker designer: k = ⊗_j U_j[i_j, :], built by
         // folding the packed factor rows in ascending mode order (left
@@ -197,14 +198,15 @@ fn kron_fold(row: &[f64], kron: &mut Vec<f64>, tmp: &mut Vec<f64>) {
     std::mem::swap(kron, tmp);
 }
 
-/// Streamed design vector of one observation for `mode`: build the foreign
-/// Kronecker vector from packed factor rows (ascending modes, left
-/// association), then contract each unfolded-core row against it.
+/// Streamed design vector of the observation at `idx` for `mode`: build
+/// the foreign Kronecker vector from packed factor rows (ascending modes
+/// other than `mode`, left association), then contract each unfolded-core
+/// row against it.
 #[allow(clippy::too_many_arguments)]
 fn design_streamed(
-    foreign: &[u32],
+    idx: &[u32],
+    mode: usize,
     packed: &PackedFactors,
-    foreign_modes: &[usize],
     unf: &[f64],
     fsize: usize,
     kron: &mut Vec<f64>,
@@ -213,8 +215,10 @@ fn design_streamed(
 ) {
     kron.clear();
     kron.push(1.0);
-    for (&i, &j) in foreign.iter().zip(foreign_modes) {
-        kron_fold(packed.row(j, i as usize), kron, tmp);
+    for (j, &i) in idx.iter().enumerate() {
+        if j != mode {
+            kron_fold(packed.row(j, i as usize), kron, tmp);
+        }
     }
     debug_assert_eq!(kron.len(), fsize);
     for (o, urow) in out.iter_mut().zip(unf.chunks_exact(fsize)) {
@@ -275,7 +279,13 @@ fn design_reference(
 
 /// Streamed row-wise ridge solve for one mode's factor (parallel across
 /// rows, written in place — no model clone, no per-row allocations).
-fn update_factor_streamed(t: &mut TuckerDecomp, stream: &ModeStream, mode: usize, lambda: f64) {
+fn update_factor_streamed(
+    t: &mut TuckerDecomp,
+    obs: &SparseTensor,
+    stream: &ModeStream,
+    mode: usize,
+    lambda: f64,
+) {
     let rank = t.ranks()[mode];
     let mut factor = t.take_factor(mode);
     let frozen: &TuckerDecomp = t;
@@ -283,7 +293,6 @@ fn update_factor_streamed(t: &mut TuckerDecomp, stream: &ModeStream, mode: usize
     // and is never read) and the mode's core unfolding once per update.
     let packed = PackedFactors::from_matrices(frozen.factors());
     let unf = unfold_core(frozen.core(), mode);
-    let foreign_modes: Vec<usize> = (0..frozen.order()).filter(|&j| j != mode).collect();
     let fsize = frozen.core().len() / rank;
     let vals = stream.values();
     factor
@@ -302,9 +311,9 @@ fn update_factor_streamed(t: &mut TuckerDecomp, stream: &ModeStream, mode: usize
                 s.zcache.reserve(rng.len() * rank);
                 for slot in rng.clone() {
                     design_streamed(
-                        stream.foreign(slot),
+                        obs.index(stream.entry_ids()[slot] as usize),
+                        mode,
                         &packed,
-                        &foreign_modes,
                         &unf,
                         fsize,
                         &mut s.kron,

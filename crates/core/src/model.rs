@@ -290,6 +290,17 @@ impl CprBuilder {
 
     /// Fit a CPR model on the dataset with the configured optimizer.
     pub fn fit(&self, data: &Dataset) -> Result<CprModel> {
+        self.fit_binned(data).map(|(model, ..)| model)
+    }
+
+    /// [`Self::fit`], also returning the fit's binned training set: the
+    /// observation tensor in ascending cell order with its values as the
+    /// optimizer completed them, and each entry's raw-time sum and sample
+    /// count. The streaming trainer keeps these as its per-cell state.
+    pub(crate) fn fit_binned(
+        &self,
+        data: &Dataset,
+    ) -> Result<(CprModel, SparseTensor, Vec<f64>, Vec<usize>)> {
         if data.is_empty() {
             return Err(CprError::EmptyDataset);
         }
@@ -312,7 +323,7 @@ impl CprBuilder {
         }
 
         let grid = self.space.grid_with_cells(&cells);
-        let (mut obs, observed_cells) = bin_observations(&grid, data, loss)?;
+        let (mut obs, sums, counts) = bin_observations(&grid, data, loss)?;
         let row_observed = observed_rows(&obs);
 
         // Initialize the decomposition the optimizer's model class needs.
@@ -368,19 +379,20 @@ impl CprBuilder {
             log_offset,
             &row_observed,
         ));
-        Ok(CprModel {
+        let model = CprModel {
             space: self.space.clone(),
             grid,
             decomp,
             optimizer,
             loss,
             trace,
-            observed_cells,
+            observed_cells: obs.nnz(),
             samples: data.len(),
             log_offset,
             row_observed,
             plan,
-        })
+        };
+        Ok((model, obs, sums, counts))
     }
 }
 
@@ -397,13 +409,14 @@ fn observed_rows(obs: &SparseTensor) -> Vec<Vec<bool>> {
     rows
 }
 
-/// Bin observations into grid cells; tensor entries are per-cell means.
-/// Returns the sparse observation tensor and the number of observed cells.
+/// Bin observations into grid cells; tensor entries are per-cell means, in
+/// ascending cell order. Returns the sparse observation tensor and each
+/// entry's raw-time sum and sample count.
 fn bin_observations(
     grid: &TensorGrid,
     data: &Dataset,
     loss: Loss,
-) -> Result<(SparseTensor, usize)> {
+) -> Result<(SparseTensor, Vec<f64>, Vec<usize>)> {
     // BTreeMap: deterministic iteration order keeps the whole training
     // pipeline bit-reproducible (HashMap order would perturb float sums).
     let mut cells: BTreeMap<Vec<usize>, (f64, usize)> = BTreeMap::new();
@@ -416,9 +429,12 @@ fn bin_observations(
     if cells.is_empty() {
         return Err(CprError::NoObservedCells);
     }
-    let observed = cells.len();
+    let mut sums = Vec::with_capacity(cells.len());
+    let mut counts = Vec::with_capacity(cells.len());
     let mut obs = SparseTensor::new(&grid.dims());
     obs.extend_from(cells.into_iter().map(|(idx, (sum, count))| {
+        sums.push(sum);
+        counts.push(count);
         let mean = sum / count as f64;
         let value = match loss {
             Loss::LogLeastSquares => mean.ln(),
@@ -426,7 +442,7 @@ fn bin_observations(
         };
         (idx, value)
     }));
-    Ok((obs, observed))
+    Ok((obs, sums, counts))
 }
 
 fn geometric_mean(values: &[f64]) -> f64 {
@@ -1266,31 +1282,24 @@ impl CprModel {
         ))
     }
 
-    /// [`Self::from_parts`] with observed-row masks taken from an
-    /// observation tensor, baking the plan exactly once (the
-    /// `from_parts` + [`Self::set_row_observed_from`] sequence would bake
-    /// twice and discard the first). Used by the streaming updater.
-    pub(crate) fn from_parts_masked(
-        space: ParamSpace,
-        cells: &[usize],
-        decomp: impl Into<Decomposition>,
-        loss: Loss,
-        log_offset: f64,
-        obs: &SparseTensor,
-    ) -> Result<CprModel> {
-        let decomp = decomp.into();
-        let optimizer = Self::implied_optimizer(&decomp, loss);
-        Self::validate_tags(&decomp, optimizer, loss)?;
-        let grid = Self::validated_grid(&space, cells, &decomp)?;
-        Ok(Self::assemble(
-            space,
-            grid,
-            decomp,
-            optimizer,
-            loss,
-            log_offset,
+    /// The model a streaming refit of this log-least-squares CP model
+    /// yields: the same space, grid and log offset with the refitted
+    /// factors, observed-row masks from the trainer's observation tensor
+    /// and the trainer's cell and sample counts. Bakes the plan exactly
+    /// once.
+    pub(crate) fn refitted(&self, cp: CpDecomp, obs: &SparseTensor, samples: usize) -> CprModel {
+        let mut model = Self::assemble(
+            self.space.clone(),
+            self.grid.clone(),
+            Decomposition::Cp(cp),
+            Optimizer::Als,
+            Loss::LogLeastSquares,
+            self.log_offset,
             observed_rows(obs),
-        ))
+        );
+        model.observed_cells = obs.nnz();
+        model.samples = samples;
+        model
     }
 
     /// Predict the execution time of a configuration (Eq. 5), served
@@ -1487,17 +1496,25 @@ impl CprModel {
         &self.trace
     }
 
-    /// Number of grid cells with at least one training observation.
+    /// Number of grid cells with at least one training observation. A
+    /// model built from its parts (a parsed one, say) reads 0: the model
+    /// bytes do not carry the count.
     pub fn observed_cells(&self) -> usize {
         self.observed_cells
     }
 
-    /// Observed fill fraction of the tensor `|Ω| / Π I_j`.
+    /// Observed fill fraction of the tensor `|Ω| / Π I_j`. The cell total
+    /// is a product of `f64`s, as in [`SparseTensor::density`]: the fit
+    /// accepts grids of more than 2^64 cells, where a `usize` product
+    /// overflows.
     pub fn density(&self) -> f64 {
-        self.observed_cells as f64 / self.grid.cell_count() as f64
+        let cells: f64 = self.grid.dims().iter().map(|&n| n as f64).product();
+        self.observed_cells as f64 / cells
     }
 
-    /// Training-set size.
+    /// Training-set size: the samples the fit (or a streaming trainer)
+    /// absorbed. A model built from its parts reads 0, as with
+    /// [`Self::observed_cells`].
     pub fn training_samples(&self) -> usize {
         self.samples
     }
@@ -1699,6 +1716,35 @@ mod tests {
         assert!(model.observed_cells() <= 16);
         assert!(model.density() > 0.5, "4x4 grid should be mostly observed");
         assert_eq!(model.training_samples(), 500);
+    }
+
+    #[test]
+    fn density_of_a_grid_beyond_usize() {
+        // 17 log parameters at 16 cells each: 2^68 cells, which a `usize`
+        // product cannot count.
+        let space = ParamSpace::new(
+            (0..17)
+                .map(|j| ParamSpec::log(format!("p{j}"), 1.0, 1024.0))
+                .collect(),
+        );
+        let mut rng = StdRng::seed_from_u64(68);
+        let mut data = Dataset::new();
+        for _ in 0..64 {
+            let x: Vec<f64> = (0..17)
+                .map(|_| f64::from(rng.gen_range(1..=1024u32)))
+                .collect();
+            let y = 1e-3 * x.iter().sum::<f64>();
+            data.push(x, y);
+        }
+        let model = CprBuilder::new(space)
+            .cells_per_dim(16)
+            .rank(2)
+            .fit(&data)
+            .unwrap();
+        assert!(model.observed_cells() > 1);
+        let cells = 2.0_f64.powi(68);
+        assert_eq!(model.density(), model.observed_cells() as f64 / cells);
+        assert!(model.predict(&data.xs()[0]).is_finite());
     }
 
     #[test]

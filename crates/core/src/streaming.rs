@@ -13,19 +13,7 @@ use crate::dataset::Dataset;
 use crate::error::{CprError, Result};
 use crate::model::{CprBuilder, CprModel, Loss};
 use cpr_completion::{als_with_streams, build_streams, CompletionSpec, Optimizer, StopRule, Trace};
-use cpr_grid::ParamSpace;
 use cpr_tensor::{ModeStream, SparseTensor};
-use std::collections::BTreeMap;
-
-/// Per-cell running statistics plus the cell's entry id in the cached
-/// observation tensor.
-#[derive(Debug, Clone, Copy)]
-struct CellStat {
-    sum: f64,
-    count: usize,
-    /// Index of this cell's entry in the cached `obs` tensor.
-    entry: u32,
-}
 
 /// Ridge λ of every update sweep, whatever λ the initial fit used. The
 /// model bytes do not carry λ, so [`StreamingCpr::resume`] could not
@@ -35,18 +23,26 @@ const UPDATE_LAMBDA: f64 = 1e-5;
 
 /// An incrementally updatable CPR model (LogLeastSquares/ALS only — the
 /// interpolation regime where online tuning data arrives).
+///
+/// The per-cell state is flat, one slot per `obs` entry: the entry's
+/// coordinates and recentered log-mean live in `obs`, its raw-time sum and
+/// sample count in `sums` and `counts`. `by_cell` lists the entry ids in
+/// ascending cell order, so a cell finds its entry by binary search over
+/// `obs`'s own coordinates.
 #[derive(Debug, Clone)]
 pub struct StreamingCpr {
     model: CprModel,
-    space: ParamSpace,
-    cells: Vec<usize>,
-    /// Running stats per observed cell, in time units.
-    cell_stats: BTreeMap<Vec<usize>, CellStat>,
     /// Cached observation tensor: one entry per observed cell holding the
-    /// recentered log-mean, revised in place as means move. Entry order is
-    /// insertion order (initial cells in map order, streamed cells
-    /// appended), so refits never rebuild it.
+    /// recentered log-mean, revised in place as means move. The fit's cells
+    /// come first, in ascending cell order; streamed cells are appended in
+    /// first-seen order, so refits never rebuild it.
     obs: SparseTensor,
+    /// Raw-time sum of each entry's samples, accumulated in data order.
+    sums: Vec<f64>,
+    /// Sample count of each entry.
+    counts: Vec<usize>,
+    /// Entry ids in ascending cell order.
+    by_cell: Vec<u32>,
     /// Cached per-mode observation streams, extended incrementally when new
     /// cells appear and value-refreshed when means change — refits skip the
     /// per-mode counting sorts entirely.
@@ -57,10 +53,11 @@ pub struct StreamingCpr {
 
 impl StreamingCpr {
     /// Fit an initial model; further samples arrive through [`Self::update`].
-    /// The builder already owns its [`ParamSpace`], so that is the whole
-    /// configuration — warm-started update sweeps require the ALS /
-    /// log-least-squares regime (the interpolation setting online tuning
-    /// data arrives in).
+    /// The builder already owns its [`cpr_grid::ParamSpace`], so that is
+    /// the whole configuration — warm-started update sweeps require the
+    /// ALS / log-least-squares regime (the interpolation setting online
+    /// tuning data arrives in). The trainer keeps the fit's own binned
+    /// cells as its state.
     pub fn fit(builder: &CprBuilder, data: &Dataset) -> Result<Self> {
         match builder.spec().resolve()? {
             (Optimizer::Als, Loss::LogLeastSquares) => {}
@@ -72,38 +69,15 @@ impl StreamingCpr {
                 )));
             }
         }
-        let space = builder.space().clone();
-        let model = builder.fit(data)?;
-        let cells: Vec<usize> = (0..model.grid().order())
-            .map(|m| model.grid().axis(m).len())
-            .collect();
-        let mut cell_stats: BTreeMap<Vec<usize>, CellStat> = BTreeMap::new();
-        for (x, y) in data.iter() {
-            let idx = model.grid().cell_index(x);
-            let e = cell_stats.entry(idx).or_insert(CellStat {
-                sum: 0.0,
-                count: 0,
-                entry: 0,
-            });
-            e.sum += y;
-            e.count += 1;
-        }
-        // Materialize the cached observation tensor once (map order) and
-        // record each cell's entry id; streams are built from it and kept.
-        let offset = model.log_offset();
-        let mut obs = SparseTensor::new(&model.grid().dims());
-        for (idx, stat) in cell_stats.iter_mut() {
-            stat.entry = obs.nnz() as u32;
-            obs.push(idx, (stat.sum / stat.count as f64).ln() - offset);
-        }
+        let (model, obs, sums, counts) = builder.fit_binned(data)?;
         let streams = build_streams(&obs);
         Ok(Self {
+            by_cell: (0..obs.nnz() as u32).collect(),
             samples: data.len(),
             model,
-            space,
-            cells,
-            cell_stats,
             obs,
+            sums,
+            counts,
             streams,
         })
     }
@@ -124,20 +98,16 @@ impl StreamingCpr {
                     .to_string(),
             ));
         }
-        let space = model.space().clone();
-        let cells = (0..model.grid().order())
-            .map(|m| model.grid().axis(m).len())
-            .collect();
         let obs = SparseTensor::new(&model.grid().dims());
         let streams = build_streams(&obs);
         Ok(Self {
-            samples: 0,
             model,
-            space,
-            cells,
-            cell_stats: BTreeMap::new(),
             obs,
+            sums: Vec::new(),
+            counts: Vec::new(),
+            by_cell: Vec::new(),
             streams,
+            samples: 0,
         })
     }
 
@@ -152,7 +122,7 @@ impl StreamingCpr {
     /// per-mode counting sorts. The cached streams stay identical to a
     /// from-scratch rebuild (pinned by `cached_streams_match_fresh_rebuild`).
     pub fn update(&mut self, batch: &Dataset, sweeps: usize) -> Result<Trace> {
-        let d = self.space.dim();
+        let d = self.model.space().dim();
         for (i, (x, y)) in batch.iter().enumerate() {
             if x.len() != d {
                 return Err(CprError::DimensionMismatch {
@@ -169,27 +139,25 @@ impl StreamingCpr {
         let mut values_moved = false;
         for (x, y) in batch.iter() {
             let idx = self.model.grid().cell_index(x);
-            match self.cell_stats.get_mut(&idx) {
-                Some(stat) => {
-                    stat.sum += y;
-                    stat.count += 1;
-                    self.obs.set_value(
-                        stat.entry as usize,
-                        (stat.sum / stat.count as f64).ln() - offset,
-                    );
+            let found = self.by_cell.binary_search_by(|&e| {
+                let cell = self.obs.index(e as usize).iter().map(|&c| c as usize);
+                cell.cmp(idx.iter().copied())
+            });
+            match found {
+                Ok(pos) => {
+                    let e = self.by_cell[pos] as usize;
+                    self.sums[e] += y;
+                    self.counts[e] += 1;
+                    self.obs
+                        .set_value(e, (self.sums[e] / self.counts[e] as f64).ln() - offset);
                     values_moved = true;
                 }
-                None => {
-                    let entry = self.obs.nnz() as u32;
+                Err(pos) => {
+                    let e = self.obs.nnz() as u32;
                     self.obs.push(&idx, y.ln() - offset);
-                    self.cell_stats.insert(
-                        idx,
-                        CellStat {
-                            sum: y,
-                            count: 1,
-                            entry,
-                        },
-                    );
+                    self.sums.push(y);
+                    self.counts.push(1);
+                    self.by_cell.insert(pos, e);
                 }
             }
         }
@@ -220,17 +188,10 @@ impl StreamingCpr {
         };
         let trace = als_with_streams(&mut cp, &self.obs, &self.streams, &cfg);
         // Rebuild the public model with refreshed factors and masks; the
-        // mask-aware constructor rebakes the compiled query plan exactly
-        // once, so queries after an update always see the updated model
-        // (the plan is a bake, never a stale view).
-        self.model = CprModel::from_parts_masked(
-            self.space.clone(),
-            &self.cells,
-            cp,
-            Loss::LogLeastSquares,
-            offset,
-            &self.obs,
-        )?;
+        // rebuild bakes the compiled query plan exactly once, so queries
+        // after an update always see the updated model (the plan is a
+        // bake, never a stale view).
+        self.model = self.model.refitted(cp, &self.obs, self.samples);
         Ok(trace)
     }
 
@@ -252,7 +213,8 @@ impl StreamingCpr {
     }
 
     /// The cached observation tensor (one recentered log-mean per observed
-    /// cell, insertion order).
+    /// cell: the fit's cells in ascending cell order, then streamed cells
+    /// in first-seen order).
     pub fn observations(&self) -> &SparseTensor {
         &self.obs
     }
@@ -269,16 +231,17 @@ impl StreamingCpr {
 
     /// Number of observed cells so far.
     pub fn observed_cells(&self) -> usize {
-        self.cell_stats.len()
+        self.obs.nnz()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpr_grid::ParamSpec;
+    use cpr_grid::{ParamSpace, ParamSpec};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn space() -> ParamSpace {
         ParamSpace::new(vec![
@@ -376,6 +339,9 @@ mod tests {
         let after = s.model().predict(&probe);
         assert_ne!(before.to_bits(), after.to_bits(), "plan went stale");
         assert_eq!(after.to_bits(), s.model().predict_naive(&probe).to_bits());
+        // The refit model carries the trainer's counts.
+        assert_eq!(s.model().observed_cells(), s.observed_cells());
+        assert_eq!(s.model().training_samples(), 150 + 400);
     }
 
     #[test]
@@ -471,5 +437,148 @@ mod tests {
             s.update(&bad2, 5),
             Err(CprError::NonPositiveTime { .. })
         ));
+    }
+
+    /// FNV-1a over 64-bit words.
+    fn fnv(checksum: &mut u64, values: impl IntoIterator<Item = f64>) {
+        for v in values {
+            *checksum = (*checksum ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Integer configurations in `lo..=hi` per parameter, timed as
+    /// `m^1.5 · n` with up to 20% multiplicative noise (so revisited cells
+    /// move their means). No constant-base `powf`: optimized builds may
+    /// rewrite one as `exp2`, and the draws must be the same bits in the
+    /// debug and release profiles.
+    fn integer_batch(n: usize, lo: u32, hi: u32, seed: u64) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut data = Dataset::new();
+        for _ in 0..n {
+            let m = f64::from(rng.gen_range(lo..=hi));
+            let nn = f64::from(rng.gen_range(lo..=hi));
+            let noise = 1.0 + 0.2 * rng.gen::<f64>();
+            data.push(vec![m, nn], 1e-7 * m * m.sqrt() * nn * noise);
+        }
+        data
+    }
+
+    /// Fold a trainer's factor bits and the bits it serves on in-domain,
+    /// clamped and unobserved-corner probes.
+    fn fold_trainer(checksum: &mut u64, s: &StreamingCpr) {
+        let cp = s.model().cp();
+        for m in 0..cp.order() {
+            fnv(checksum, cp.factor(m).as_slice().iter().copied());
+        }
+        let probes = [20.0, 40.0, 100.0, 333.0, 1000.0, 2500.0, 4000.0, 5000.0];
+        for &m in &probes {
+            for &nn in &probes {
+                fnv(checksum, [s.model().predict(&[m, nn])]);
+            }
+        }
+    }
+
+    /// The flat per-entry state equals a map binning of every absorbed
+    /// sample, entry by entry: the fit's cells in ascending cell order,
+    /// then streamed cells in first-seen order, with sums accumulated in
+    /// data order.
+    #[test]
+    fn flat_state_matches_a_reference_binning() {
+        let builder = CprBuilder::new(space())
+            .cells_per_dim(8)
+            .rank(2)
+            .regularization(1e-7);
+        let first = integer_batch(120, 32, 600, 70);
+        let batches = [
+            integer_batch(200, 32, 2048, 71),
+            integer_batch(150, 32, 4096, 72),
+        ];
+        let mut s = StreamingCpr::fit(&builder, &first).unwrap();
+        for batch in &batches {
+            s.update(batch, 2).unwrap();
+        }
+
+        let grid = s.model().grid();
+        let mut reference: BTreeMap<Vec<usize>, (f64, usize)> = BTreeMap::new();
+        let bin = |reference: &mut BTreeMap<Vec<usize>, (f64, usize)>, x: &[f64], y| {
+            let cell = reference.entry(grid.cell_index(x)).or_insert((0.0, 0));
+            cell.0 += y;
+            cell.1 += 1;
+        };
+        for (x, y) in first.iter() {
+            bin(&mut reference, x, y);
+        }
+        let mut order: Vec<Vec<usize>> = reference.keys().cloned().collect();
+        for (x, y) in batches.iter().flat_map(|b| b.iter()) {
+            let cell = grid.cell_index(x);
+            if !reference.contains_key(&cell) {
+                order.push(cell);
+            }
+            bin(&mut reference, x, y);
+        }
+
+        assert_eq!(s.observed_cells(), order.len());
+        assert_eq!(s.sums.len(), order.len());
+        assert_eq!(s.counts.len(), order.len());
+        for (e, cell) in order.iter().enumerate() {
+            let at: Vec<usize> = s.obs.index(e).iter().map(|&c| c as usize).collect();
+            assert_eq!(&at, cell, "entry {e} holds another cell");
+            let (sum, count) = reference[cell];
+            assert_eq!(s.sums[e].to_bits(), sum.to_bits(), "sum of entry {e}");
+            assert_eq!(s.counts[e], count, "count of entry {e}");
+        }
+        // `by_cell` lists every entry once, in ascending cell order.
+        assert_eq!(s.by_cell.len(), order.len());
+        let by_cell: Vec<&[u32]> = s.by_cell.iter().map(|&e| s.obs.index(e as usize)).collect();
+        assert!(by_cell.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(s.samples(), 120 + 200 + 150);
+    }
+
+    /// The refit path pinned bit for bit: a fit on the low corner of the
+    /// space, then updates that revisit cells, add cells, add a cell and
+    /// revise it within one batch, absorb without sweeps, and a resumed
+    /// trainer's first refit. Checked in both profiles and at every pool
+    /// width CI runs.
+    #[test]
+    fn refit_bits_are_pinned() {
+        let builder = CprBuilder::new(space())
+            .cells_per_dim(8)
+            .rank(4)
+            .regularization(1e-7);
+        let mut checksum = 0xcbf2_9ce4_8422_2325;
+        let mut s = StreamingCpr::fit(&builder, &integer_batch(120, 32, 600, 60)).unwrap();
+        fold_trainer(&mut checksum, &s);
+
+        // Revisits the fitted corner and adds cells up to 2048.
+        let trace = s.update(&integer_batch(200, 32, 2048, 61), 6).unwrap();
+        fnv(&mut checksum, trace.objective);
+        fold_trainer(&mut checksum, &s);
+
+        // One cell beyond 2048, added and revised in the same batch, among
+        // revisits.
+        let cells = s.observed_cells();
+        let mut batch = integer_batch(20, 64, 1024, 62);
+        batch.push(vec![4000.0, 3900.0], 2.5);
+        batch.push(vec![3950.0, 4000.0], 2.75);
+        let trace = s.update(&batch, 6).unwrap();
+        assert_eq!(s.observed_cells(), cells + 1, "one new cell");
+        fnv(&mut checksum, trace.objective);
+        fold_trainer(&mut checksum, &s);
+
+        s.absorb(&integer_batch(80, 32, 4096, 63)).unwrap();
+        fold_trainer(&mut checksum, &s);
+        let trace = s.update(&integer_batch(150, 32, 4096, 64), 6).unwrap();
+        fnv(&mut checksum, trace.objective);
+        fold_trainer(&mut checksum, &s);
+
+        let mut r = StreamingCpr::resume(s.model().clone()).unwrap();
+        let trace = r.update(&integer_batch(150, 32, 4096, 65), 6).unwrap();
+        fnv(&mut checksum, trace.objective);
+        fold_trainer(&mut checksum, &r);
+
+        assert_eq!(
+            checksum, 0xcf53_24d7_919a_84a4,
+            "refit bits moved: {checksum:#018x}"
+        );
     }
 }

@@ -22,5 +22,5 @@ pub use cp::{khatri_rao, CpDecomp, PackedFactors};
 pub use decomp::Decomposition;
 pub use dense::DenseTensor;
 pub use matrix::Matrix;
-pub use sparse::{ModeIndex, ModeStream, Observation, SparseTensor};
+pub use sparse::{ModeIndex, ModeStream, SparseTensor};
 pub use tucker::{eval_core_packed, TuckerDecomp};

@@ -87,16 +87,6 @@ impl Cholesky {
         y
     }
 
-    /// Solve for multiple right-hand sides stacked as matrix columns.
-    pub fn solve_matrix(&self, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(b.rows(), b.cols());
-        for j in 0..b.cols() {
-            let x = self.solve(&b.col(j));
-            out.set_col(j, &x);
-        }
-        out
-    }
-
     /// Log-determinant of `A` (= 2 Σ log L_ii); used by GP marginal likelihood.
     pub fn log_det(&self) -> f64 {
         (0..self.l.rows()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
@@ -410,20 +400,6 @@ mod tests {
                 for (x, y) in fast.iter().zip(&slow) {
                     assert_eq!(x.to_bits(), y.to_bits(), "n={n} trial={trial}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn solve_matrix_multiple_rhs() {
-        let a = spd_example();
-        let ch = Cholesky::new(&a).unwrap();
-        let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[0.0, 0.0]]);
-        let x = ch.solve_matrix(&b);
-        let ax = a.matmul(&x);
-        for i in 0..3 {
-            for j in 0..2 {
-                assert!((ax[(i, j)] - b[(i, j)]).abs() < 1e-10);
             }
         }
     }

@@ -303,11 +303,6 @@ impl Matrix {
         self.data.iter().map(|v| v * v).sum::<f64>()
     }
 
-    /// Max-abs (Chebyshev) norm.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-    }
-
     /// True if any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|v| !v.is_finite())
@@ -316,12 +311,6 @@ impl Matrix {
     /// True if every element is strictly positive.
     pub fn is_strictly_positive(&self) -> bool {
         self.data.iter().all(|&v| v > 0.0)
-    }
-
-    /// Sub-matrix copy of rows `r0..r1`, cols `c0..c1`.
-    pub fn submatrix(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> Matrix {
-        assert!(r0 <= r1 && r1 <= self.rows && c0 <= c1 && c1 <= self.cols);
-        Matrix::from_fn(r1 - r0, c1 - c0, |i, j| self[(r0 + i, c0 + j)])
     }
 }
 
@@ -381,15 +370,6 @@ impl fmt::Debug for Matrix {
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// `y += alpha * x`.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
 }
 
 /// Euclidean norm of a slice.
@@ -483,7 +463,6 @@ mod tests {
     fn norms() {
         let a = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
         assert!((a.fro_norm() - 5.0).abs() < 1e-14);
-        assert_eq!(a.max_abs(), 4.0);
         assert!((a.fro_norm_sq() - 25.0).abs() < 1e-14);
     }
 
@@ -494,15 +473,6 @@ mod tests {
         assert_eq!(a.add(&b), Matrix::filled(2, 2, 3.0));
         assert_eq!(a.sub(&b), Matrix::filled(2, 2, 1.0));
         assert_eq!(a.scaled(0.5), Matrix::filled(2, 2, 1.0));
-    }
-
-    #[test]
-    fn submatrix_copy() {
-        let a = Matrix::from_fn(4, 4, |i, j| (i * 4 + j) as f64);
-        let s = a.submatrix(1, 3, 2, 4);
-        assert_eq!(s.shape(), (2, 2));
-        assert_eq!(s[(0, 0)], 6.0);
-        assert_eq!(s[(1, 1)], 11.0);
     }
 
     #[test]
@@ -519,9 +489,6 @@ mod tests {
     #[test]
     fn vector_helpers() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[1.0, 2.0], &mut y);
-        assert_eq!(y, vec![3.0, 5.0]);
         let mut x = vec![3.0, 4.0];
         let n = normalize(&mut x);
         assert!((n - 5.0).abs() < 1e-14);

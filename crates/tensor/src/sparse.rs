@@ -9,13 +9,6 @@
 
 use crate::dense::DenseTensor;
 
-/// One observed entry `(multi-index, value)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Observation {
-    pub index: Vec<usize>,
-    pub value: f64,
-}
-
 /// CSR-style per-mode inverted observation index: `row(i)` lists the entry
 /// ids whose coordinate along the indexed mode equals `i` (the paper's
 /// `Ω_i`), in ascending entry order.
@@ -60,35 +53,28 @@ impl ModeIndex {
 /// [`ModeIndex`], built once per fit and read by every sweep of the
 /// completion optimizers.
 ///
-/// Where `ModeIndex` stores only entry ids (so the sweep hot loop still
-/// chases `entries[e] → indices[e*d..]` indirections through the
-/// [`SparseTensor`] and re-gathers scattered values), a `ModeStream`
-/// materializes, contiguously and grouped by row of the streamed mode:
+/// Beside [`ModeIndex`]'s entry ids, a `ModeStream` stores each slot's
+/// value, contiguously and grouped by row of the streamed mode:
 ///
 /// * `entry_ids` — the original entry id of each slot (ascending within a
 ///   row, exactly the order [`ModeIndex::row`] yields),
-/// * `values` — the observed value of each slot,
-/// * `foreign` — each slot's *foreign multi-index*: the `d−1` `u32`
-///   coordinates of the observation along every mode except the streamed
-///   one, in ascending mode order.
+/// * `values` — the observed value of each slot.
 ///
-/// A mode's row subproblem therefore walks three flat arrays front to back
-/// instead of performing three dependent gathers per observation. The slot
-/// order is a pure function of the entry order, so two streams built from
-/// observation sets with identical entries compare equal (`PartialEq`) —
-/// the invariant the incremental streaming-refit path pins in tests.
+/// A mode's row subproblem therefore reads its values front to back
+/// instead of gathering them per observation; a slot's coordinates stay in
+/// the [`SparseTensor`], reached as `obs.index(entry_ids()[slot])`. The
+/// slot order is a pure function of the entry order, so two streams built
+/// from observation sets with identical entries compare equal
+/// (`PartialEq`) — the invariant the incremental streaming-refit path pins
+/// in tests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModeStream {
-    /// The streamed mode (foreign indices skip this coordinate).
+    /// The streamed mode.
     mode: usize,
-    /// Foreign index width `d − 1`.
-    fdim: usize,
     /// `rows() + 1` monotone slot offsets.
     offsets: Vec<u32>,
     /// Slot → original entry id.
     entry_ids: Vec<u32>,
-    /// Slot-major packed foreign multi-indices (`nnz * fdim`).
-    foreign: Vec<u32>,
     /// Slot → observed value.
     values: Vec<f64>,
 }
@@ -102,11 +88,6 @@ impl ModeStream {
     /// Number of rows (the streamed mode's dimension).
     pub fn rows(&self) -> usize {
         self.offsets.len() - 1
-    }
-
-    /// Foreign multi-index width (`d − 1`).
-    pub fn fdim(&self) -> usize {
-        self.fdim
     }
 
     /// Total streamed observations `|Ω|`.
@@ -130,13 +111,6 @@ impl ModeStream {
     #[inline]
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Foreign multi-index of one slot (`d − 1` coordinates, ascending
-    /// mode order, the streamed mode skipped).
-    #[inline]
-    pub fn foreign(&self, slot: usize) -> &[u32] {
-        &self.foreign[slot * self.fdim..(slot + 1) * self.fdim]
     }
 
     /// Fold the observations `first_new..obs.nnz()` of `obs` into the
@@ -173,7 +147,6 @@ impl ModeStream {
         let new_total = nnz - first_new;
         let mut offsets = vec![0u32; rows + 1];
         let mut entry_ids = vec![0u32; self.nnz() + new_total];
-        let mut foreign = vec![0u32; (self.nnz() + new_total) * self.fdim];
         let mut values = vec![0.0; self.nnz() + new_total];
         // Per-row write cursors: old slots first, new slots after.
         for i in 0..rows {
@@ -185,30 +158,18 @@ impl ModeStream {
             let dst = *cur as usize;
             let n = old.len();
             entry_ids[dst..dst + n].copy_from_slice(&self.entry_ids[old.clone()]);
-            values[dst..dst + n].copy_from_slice(&self.values[old.clone()]);
-            foreign[dst * self.fdim..(dst + n) * self.fdim]
-                .copy_from_slice(&self.foreign[old.start * self.fdim..old.end * self.fdim]);
+            values[dst..dst + n].copy_from_slice(&self.values[old]);
             *cur += n as u32;
         }
         for e in first_new..nnz {
-            let idx = obs.index(e);
-            let i = idx[self.mode] as usize;
+            let i = obs.index(e)[self.mode] as usize;
             let slot = cursor[i] as usize;
             cursor[i] += 1;
             entry_ids[slot] = e as u32;
             values[slot] = obs.value(e);
-            let fdst = &mut foreign[slot * self.fdim..(slot + 1) * self.fdim];
-            let mut k = 0;
-            for (j, &c) in idx.iter().enumerate() {
-                if j != self.mode {
-                    fdst[k] = c;
-                    k += 1;
-                }
-            }
         }
         self.offsets = offsets;
         self.entry_ids = entry_ids;
-        self.foreign = foreign;
         self.values = values;
     }
 
@@ -404,49 +365,16 @@ impl SparseTensor {
         ModeIndex { offsets, entries }
     }
 
-    /// Build the packed per-mode observation stream (see [`ModeStream`]) by
-    /// the same two-pass counting sort as [`Self::mode_index`], additionally
-    /// materializing each slot's value and foreign multi-index so sweep hot
-    /// loops never touch the coordinate storage again.
+    /// Build the packed per-mode observation stream (see [`ModeStream`]):
+    /// [`Self::mode_index`]'s counting sort, plus each slot's value
+    /// gathered into slot order.
     pub fn mode_stream(&self, mode: usize) -> ModeStream {
-        assert!(mode < self.order());
-        let rows = self.dims[mode];
-        let d = self.dims.len();
-        let fdim = d - 1;
-        let nnz = self.nnz();
-        let mut offsets = vec![0u32; rows + 1];
-        for e in 0..nnz {
-            offsets[self.indices[e * d + mode] as usize + 1] += 1;
-        }
-        for i in 0..rows {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor = offsets.clone();
-        let mut entry_ids = vec![0u32; nnz];
-        let mut foreign = vec![0u32; nnz * fdim];
-        let mut values = vec![0.0; nnz];
-        for e in 0..nnz {
-            let idx = &self.indices[e * d..(e + 1) * d];
-            let i = idx[mode] as usize;
-            let slot = cursor[i] as usize;
-            cursor[i] += 1;
-            entry_ids[slot] = e as u32;
-            values[slot] = self.values[e];
-            let fdst = &mut foreign[slot * fdim..(slot + 1) * fdim];
-            let mut k = 0;
-            for (j, &c) in idx.iter().enumerate() {
-                if j != mode {
-                    fdst[k] = c;
-                    k += 1;
-                }
-            }
-        }
+        let ModeIndex { offsets, entries } = self.mode_index(mode);
+        let values = entries.iter().map(|&e| self.values[e as usize]).collect();
         ModeStream {
             mode,
-            fdim,
             offsets,
-            entry_ids,
-            foreign,
+            entry_ids: entries,
             values,
         }
     }
@@ -667,7 +595,6 @@ mod tests {
             let st = s.mode_stream(mode);
             assert_eq!(st.mode(), mode);
             assert_eq!(st.rows(), s.dims()[mode]);
-            assert_eq!(st.fdim(), 2);
             assert_eq!(st.nnz(), s.nnz());
             for i in 0..st.rows() {
                 let rng = st.row_range(i);
@@ -675,14 +602,7 @@ mod tests {
                 for slot in rng {
                     let e = st.entry_ids()[slot] as usize;
                     assert_eq!(st.values()[slot], s.value(e));
-                    let full = s.index(e);
-                    let want: Vec<u32> = full
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, _)| j != mode)
-                        .map(|(_, &c)| c)
-                        .collect();
-                    assert_eq!(st.foreign(slot), &want[..]);
+                    assert_eq!(s.index(e)[mode] as usize, i);
                 }
             }
         }
@@ -698,14 +618,12 @@ mod tests {
         assert!(st.row_range(1).is_empty());
         assert_eq!(st.row_range(2), 0..1);
         assert!(st.row_range(3).is_empty());
-        assert_eq!(st.foreign(0), &[1]);
         assert_eq!(st.values(), &[7.0]);
-        // Order-1 tensor: zero-width foreign indices.
+        // Order-1 tensor.
         let mut one = SparseTensor::new(&[5]);
         one.push(&[3], 1.5);
         let st1 = one.mode_stream(0);
-        assert_eq!(st1.fdim(), 0);
-        assert_eq!(st1.foreign(0), &[] as &[u32]);
+        assert_eq!(st1.entry_ids(), &[0]);
         assert_eq!(st1.row_range(3), 0..1);
     }
 
