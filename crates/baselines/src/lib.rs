@@ -42,5 +42,5 @@ pub use sgr::{SgrConfig, SparseGridRegression};
 pub use svr::{Svr, SvrConfig, SvrKernel};
 pub use tune::{
     forest_grid, gb_grid, gp_grid, knn_grid, mars_grid, mlp_grid, sgr_grid, sgr_grid_levels,
-    sgr_grid_refinement, svm_grid, tune_best, SweepBudget, TunedModel,
+    sgr_grid_refinement, svm_grid, SweepBudget,
 };

@@ -1,10 +1,12 @@
-//! Hyper-parameter grids of §6.0.4 and exhaustive tuning.
+//! Hyper-parameter grids of §6.0.4.
 //!
 //! The paper evaluates "all relevant model configurations using the same
 //! training set" (no cross-validation) and reports, per training-set size or
-//! model-size bucket, the best configuration. [`tune_best`] mirrors that:
-//! fit every candidate, score on a held-out set with a caller-supplied
-//! metric, return the winner.
+//! model-size bucket, the best configuration. This module holds only the
+//! grids, as factories of fresh unfitted models; the fit–score–pick loop
+//! over them is the experiment harness's (`cpr_bench::fit_each` and
+//! `cpr_bench::sweep_builders`, through `cpr_core`'s `BaselineFamily`
+//! bridge, which owns the log transforms).
 
 use crate::forest::{Forest, ForestConfig, ForestKind};
 use crate::gb::{GbConfig, GradientBoosting};
@@ -15,7 +17,6 @@ use crate::mlp::{Activation, Mlp, MlpConfig};
 use crate::sgr::{SgrConfig, SparseGridRegression};
 use crate::svr::{Svr, SvrConfig, SvrKernel};
 use crate::Regressor;
-use rayon::prelude::*;
 
 /// Candidate factory: produces fresh unfitted models spanning a §6.0.4 grid.
 pub type Factory = Box<dyn Fn() -> Box<dyn Regressor> + Send + Sync>;
@@ -326,71 +327,9 @@ pub fn sgr_grid_refinement(
         .collect()
 }
 
-/// Outcome of an exhaustive sweep.
-pub struct TunedModel {
-    /// The winning fitted model.
-    pub model: Box<dyn Regressor>,
-    /// Its score (lower is better) on the evaluation set.
-    pub score: f64,
-    /// Index of the winning factory in the input grid.
-    pub config_index: usize,
-}
-
-/// Fit every candidate on `(x_train, y_train)`, score with `metric` on
-/// `(x_eval, y_eval)`, return the best (lowest score). Candidates run in
-/// parallel. `max_size_bytes` drops models over the paper's 10 MB cap.
-pub fn tune_best(
-    grid: &[Factory],
-    x_train: &[Vec<f64>],
-    y_train: &[f64],
-    x_eval: &[Vec<f64>],
-    y_eval: &[f64],
-    metric: impl Fn(&[f64], &[f64]) -> f64 + Sync,
-    max_size_bytes: Option<usize>,
-) -> Option<TunedModel> {
-    let scored: Vec<(usize, Box<dyn Regressor>, f64)> = grid
-        .par_iter()
-        .enumerate()
-        .filter_map(|(i, factory)| {
-            let mut model = factory();
-            model.fit(x_train, y_train);
-            if let Some(cap) = max_size_bytes {
-                if model.size_bytes() > cap {
-                    return None;
-                }
-            }
-            let pred = model.predict_batch(x_eval);
-            let score = metric(&pred, y_eval);
-            score.is_finite().then_some((i, model, score))
-        })
-        .collect();
-    scored
-        .into_iter()
-        .min_by(|a, b| a.2.partial_cmp(&b.2).unwrap())
-        .map(|(config_index, model, score)| TunedModel {
-            model,
-            score,
-            config_index,
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn toy() -> (Vec<Vec<f64>>, Vec<f64>) {
-        let x: Vec<Vec<f64>> = (0..120).map(|i| vec![i as f64 / 12.0]).collect();
-        let y: Vec<f64> = x.iter().map(|v| v[0].powi(2)).collect();
-        (x, y)
-    }
-
-    fn mse(pred: &[f64], truth: &[f64]) -> f64 {
-        pred.iter()
-            .zip(truth)
-            .map(|(p, t)| (p - t) * (p - t))
-            .sum::<f64>()
-            / truth.len() as f64
-    }
 
     #[test]
     fn grids_are_nonempty() {
@@ -404,23 +343,5 @@ mod tests {
         assert_eq!(mars_grid(SweepBudget::Full).len(), 6);
         assert!(mlp_grid(SweepBudget::Quick).len() >= 3);
         assert!(sgr_grid(SweepBudget::Full).len() >= 28);
-    }
-
-    #[test]
-    fn tune_best_picks_lowest_score() {
-        let (x, y) = toy();
-        let best =
-            tune_best(&knn_grid(SweepBudget::Full), &x, &y, &x, &y, mse, None).expect("winner");
-        // Exhaustive sweep over k: scoring on the training set, k=1 is exact.
-        assert!(best.score < 1e-12, "score {}", best.score);
-        assert_eq!(best.model.name(), "KNN");
-    }
-
-    #[test]
-    fn size_cap_filters_models() {
-        let (x, y) = toy();
-        // A 1-byte cap removes every candidate.
-        let out = tune_best(&knn_grid(SweepBudget::Quick), &x, &y, &x, &y, mse, Some(1));
-        assert!(out.is_none());
     }
 }

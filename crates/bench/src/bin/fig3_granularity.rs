@@ -16,7 +16,8 @@
 
 use cpr_apps::all_benchmarks;
 use cpr_baselines::{mars_grid, sgr_grid_levels, SweepBudget};
-use cpr_bench::{fmt, print_table, tune_cpr, tune_family, Scale};
+use cpr_bench::{cpr_builder_grid, family_builder_grid, fmt, print_table, sweep_builders, Scale};
+use cpr_core::PerfModelBuilder;
 
 fn main() {
     let scale = Scale::from_args();
@@ -61,37 +62,31 @@ fn main() {
             test.len()
         );
 
+        // One row: the lowest test MLogQ over one family's grid.
+        let mut push_best =
+            |model: &str, granularity: String, grid: Vec<Box<dyn PerfModelBuilder>>| {
+                if let Some(best) = sweep_builders(&grid, &train, &test, None).first() {
+                    rows.push(vec![
+                        bench.name().to_string(),
+                        model.into(),
+                        granularity,
+                        fmt(best.mlogq),
+                    ]);
+                }
+            };
         // CPR: one point per granularity, rank tuned.
         for &g in granularities {
-            let (_, err) = tune_cpr(&space, &train, &test, &[g], ranks, &[1e-5]);
-            rows.push(vec![
-                bench.name().to_string(),
-                "CPR".into(),
-                g.to_string(),
-                fmt(err),
-            ]);
+            let grid = cpr_builder_grid(&space, &[g], ranks, &[1e-5]);
+            push_best("CPR", g.to_string(), grid);
         }
         // SGR: one point per level (granularity 2^level).
         for &level in levels {
-            let grid = sgr_grid_levels(&[level], budget);
-            if let Some(res) = tune_family("SGR", &grid, &space, &train, &test, None) {
-                rows.push(vec![
-                    bench.name().to_string(),
-                    "SGR".into(),
-                    (1usize << level).to_string(),
-                    fmt(res.mlogq),
-                ]);
-            }
+            let grid = family_builder_grid("SGR", &space, sgr_grid_levels(&[level], budget));
+            push_best("SGR", (1usize << level).to_string(), grid);
         }
         // MARS: a single (search-discretized, effectively global) point.
-        if let Some(res) = tune_family("MARS", &mars_grid(budget), &space, &train, &test, None) {
-            rows.push(vec![
-                bench.name().to_string(),
-                "MARS".into(),
-                "global".into(),
-                fmt(res.mlogq),
-            ]);
-        }
+        let grid = family_builder_grid("MARS", &space, mars_grid(budget));
+        push_best("MARS", "global".into(), grid);
     }
     print_table(
         "Figure 3: MLogQ vs discretization granularity",

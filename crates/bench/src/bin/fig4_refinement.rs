@@ -10,7 +10,9 @@
 
 use cpr_apps::all_benchmarks;
 use cpr_baselines::{sgr_grid_refinement, SweepBudget};
-use cpr_bench::{fit_cpr, fmt, print_table, tune_family, CprPoint, Scale};
+use cpr_bench::{
+    cpr_builder_grid, family_builder_grid, fit_each, fmt, print_table, sweep_builders, Scale,
+};
 
 fn main() {
     let scale = Scale::from_args();
@@ -60,37 +62,33 @@ fn main() {
             test.len()
         );
 
-        for &cells in cell_series {
-            for &rank in ranks {
-                let (model, err) = fit_cpr(
-                    &space,
-                    &train,
-                    &test,
-                    CprPoint {
-                        cells,
-                        rank,
-                        lambda: 1e-5,
-                    },
-                );
+        // CPR: one row per (cells, rank) grid point, in the grid's order.
+        let points = cell_series
+            .iter()
+            .flat_map(|&cells| ranks.iter().map(move |&rank| (cells, rank)));
+        let grid = cpr_builder_grid(&space, cell_series, ranks, &[1e-5]);
+        for ((cells, rank), slot) in points.zip(fit_each(&grid, &train, &test, None)) {
+            if let Some(fitted) = slot {
                 rows.push(vec![
                     bench.name().to_string(),
                     format!("CPR C{cells}"),
                     rank.to_string(),
-                    fmt(err),
-                    model.size_bytes().to_string(),
+                    fmt(fitted.mlogq),
+                    fitted.size_bytes.to_string(),
                 ]);
             }
         }
         for &level in levels {
             for &rounds in refinement_rounds {
                 let grid = sgr_grid_refinement(level, rounds, 16, budget);
-                if let Some(res) = tune_family("SGR", &grid, &space, &train, &test, None) {
+                let grid = family_builder_grid("SGR", &space, grid);
+                if let Some(best) = sweep_builders(&grid, &train, &test, None).first() {
                     rows.push(vec![
                         bench.name().to_string(),
                         format!("SGR L{level}"),
                         rounds.to_string(),
-                        fmt(res.mlogq),
-                        res.size_bytes.to_string(),
+                        fmt(best.mlogq),
+                        best.size_bytes.to_string(),
                     ]);
                 }
             }

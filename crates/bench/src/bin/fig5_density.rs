@@ -5,12 +5,16 @@
 //! they pay off, but the density threshold *drops* with tensor order — a
 //! 32³ MM tensor wants ≥50% fill, while AMG's order-8 tensor is most
 //! accurate at 0.07% fill. For each tensor size the minimum error across CP
-//! ranks is reported.
+//! ranks is reported, with the winning model's fill density. `PerfModel`
+//! does not expose the density, so the rank candidates fit with
+//! `CprBuilder` directly rather than through `cpr_bench::sweep_builders`.
 //!
 //! Run: `cargo run --release -p cpr-bench --bin fig5_density [--full]`
 
 use cpr_apps::all_benchmarks;
-use cpr_bench::{fmt, print_table, tune_cpr, Scale};
+use cpr_bench::{fmt, print_table, Scale};
+use cpr_core::CprBuilder;
+use rayon::prelude::*;
 
 fn main() {
     let scale = Scale::from_args();
@@ -46,7 +50,21 @@ fn main() {
         for &n in train_sizes {
             let train = pool.random_subset(n, 1);
             for &cells in cell_sizes {
-                let (model, err) = tune_cpr(&space, &train, &test, &[cells], ranks, &[1e-5]);
+                // The lowest test MLogQ across ranks, ties to the lower rank.
+                let (model, err) = ranks
+                    .par_iter()
+                    .map(|&rank| {
+                        let model = CprBuilder::new(space.clone())
+                            .cells_per_dim(cells)
+                            .rank(rank)
+                            .regularization(1e-5)
+                            .fit(&train)
+                            .expect("CPR training failed");
+                        let err = model.evaluate(&test).mlogq;
+                        (model, err)
+                    })
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
+                    .expect("at least one rank");
                 rows.push(vec![
                     bench.name().to_string(),
                     format!("{cells} cells/dim"),

@@ -13,8 +13,7 @@ use cpr_apps::all_benchmarks;
 use cpr_baselines::{
     forest_grid, gp_grid, knn_grid, mars_grid, mlp_grid, sgr_grid, ForestKind, SweepBudget,
 };
-use cpr_bench::{fit_cpr, fmt, mlogq_log_space, prepare_xy, print_table, CprPoint, Scale};
-use rayon::prelude::*;
+use cpr_bench::{cpr_builder_grid, family_builder_grid, fit_each, fmt, print_table, Scale};
 
 const SIZE_CAP: usize = 10 * 1024 * 1024; // the paper's 10 MB cutoff
 
@@ -52,34 +51,9 @@ fn main() {
             1000 + bi as u64,
         );
 
-        // CPR: every (cells, rank) point.
-        let points: Vec<CprPoint> = cpr_cells
-            .iter()
-            .flat_map(|&c| {
-                cpr_ranks.iter().map(move |&r| CprPoint {
-                    cells: c,
-                    rank: r,
-                    lambda: 1e-5,
-                })
-            })
-            .collect();
-        let cpr_rows: Vec<Vec<String>> = points
-            .par_iter()
-            .map(|&p| {
-                let (model, err) = fit_cpr(&space, &train, &test, p);
-                vec![
-                    bench.name().into(),
-                    "CPR".into(),
-                    model.size_bytes().to_string(),
-                    fmt(err),
-                ]
-            })
-            .collect();
-        rows.extend(cpr_rows);
-
-        // Baselines: every configuration in each family's grid.
-        let (x_train, y_train) = prepare_xy(&space, &train);
-        let (x_test, y_test) = prepare_xy(&space, &test);
+        // Every configuration of every family is one point: CPR's
+        // (cells, rank) grid, then each baseline's grid.
+        let mut builders = cpr_builder_grid(&space, cpr_cells, cpr_ranks, &[1e-5]);
         let families: Vec<(&'static str, Vec<cpr_baselines::tune::Factory>)> = vec![
             ("SGR", sgr_grid(budget)),
             ("MARS", mars_grid(budget)),
@@ -89,27 +63,18 @@ fn main() {
             ("KNN", knn_grid(budget)),
         ];
         for (name, grid) in families {
-            let pts: Vec<Vec<String>> = grid
-                .par_iter()
-                .filter_map(|factory| {
-                    let mut model = factory();
-                    model.fit(&x_train, &y_train);
-                    if model.size_bytes() > SIZE_CAP {
-                        return None; // the paper's 10 MB drop rule
-                    }
-                    let pred = model.predict_batch(&x_test);
-                    let err = mlogq_log_space(&pred, &y_test);
-                    err.is_finite().then(|| {
-                        vec![
-                            bench.name().into(),
-                            name.into(),
-                            model.size_bytes().to_string(),
-                            fmt(err),
-                        ]
-                    })
-                })
-                .collect();
-            rows.extend(pts);
+            builders.extend(family_builder_grid(name, &space, grid));
+        }
+        for fitted in fit_each(&builders, &train, &test, Some(SIZE_CAP))
+            .into_iter()
+            .flatten()
+        {
+            rows.push(vec![
+                bench.name().into(),
+                fitted.name,
+                fitted.size_bytes.to_string(),
+                fmt(fitted.mlogq),
+            ]);
         }
         eprintln!("[fig7] {} done", bench.name());
     }

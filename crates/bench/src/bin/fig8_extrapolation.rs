@@ -18,8 +18,8 @@
 
 use cpr_apps::{standard_normal, Benchmark, Broadcast, MatMul};
 use cpr_baselines::{forest_grid, knn_grid, mars_grid, mlp_grid, ForestKind, SweepBudget};
-use cpr_bench::{fmt, print_table, tune_family, Scale};
-use cpr_core::{CprExtrapolatorBuilder, Dataset};
+use cpr_bench::{family_builder_grid, fmt, print_table, sweep_builders, Scale};
+use cpr_core::{CprBuilder, CprExtrapolatorBuilder, Dataset, PerfModelBuilder};
 use cpr_grid::{ParamSpace, ParamSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -143,30 +143,16 @@ fn main() {
             let space = space_from_ranges(&sc.names, ranges);
 
             // CPR §5.3 extrapolator: tune (cells, rank) minimally.
-            let mut best_cpr = f64::INFINITY;
+            let mut builders: Vec<Box<dyn PerfModelBuilder>> = Vec::new();
             for &cells in &[8usize, 16] {
                 for &rank in &[2usize, 4] {
-                    if let Ok(ex) = CprExtrapolatorBuilder::new(space.clone())
+                    let base = CprBuilder::new(space.clone())
                         .cells_per_dim(cells)
                         .rank(rank)
-                        .regularization(1e-6)
-                        .fit(&train)
-                    {
-                        let err = ex.evaluate(&test).mlogq;
-                        if err.is_finite() {
-                            best_cpr = best_cpr.min(err);
-                        }
-                    }
+                        .regularization(1e-6);
+                    builders.push(Box::new(CprExtrapolatorBuilder::from_builder(base)));
                 }
             }
-            rows.push(vec![
-                sc.kernel.into(),
-                sc.scenario.into(),
-                n_cut.to_string(),
-                "CPR".into(),
-                fmt(best_cpr),
-            ]);
-
             // Baselines trained on the restricted range, tested beyond it.
             let families: Vec<(&'static str, Vec<cpr_baselines::tune::Factory>)> = vec![
                 ("KNN", knn_grid(budget)),
@@ -175,15 +161,22 @@ fn main() {
                 ("NN", mlp_grid(budget)),
             ];
             for (name, grid) in families {
-                if let Some(res) = tune_family(name, &grid, &space, &train, &test, None) {
-                    rows.push(vec![
-                        sc.kernel.into(),
-                        sc.scenario.into(),
-                        n_cut.to_string(),
-                        name.into(),
-                        fmt(res.mlogq),
-                    ]);
-                }
+                builders.extend(family_builder_grid(name, &space, grid));
+            }
+            for best in sweep_builders(&builders, &train, &test, None) {
+                // The extrapolator is the figure's CPR series.
+                let model = if best.name == "CPR-E" {
+                    "CPR"
+                } else {
+                    &best.name
+                };
+                rows.push(vec![
+                    sc.kernel.into(),
+                    sc.scenario.into(),
+                    n_cut.to_string(),
+                    model.into(),
+                    fmt(best.mlogq),
+                ]);
             }
             eprintln!("[fig8] {} {} N={} done", sc.kernel, sc.scenario, n_cut);
         }

@@ -10,13 +10,14 @@
 //! * baselines consume **log-transformed** parameters and execution times;
 //! * prediction error is reported as **MLogQ** = `mean |log(m/y)|`;
 //! * every model family is tuned exhaustively over its hyper-parameter grid
-//!   on the training set, and the best test error is reported;
+//!   on the training set, and the best test error is reported, through one
+//!   fit–score–pick loop ([`fit_each`], [`sweep_builders`]);
 //! * models over 10 MB are dropped from the Figure 7 sweep.
 
 pub mod fixtures;
 
 use cpr_baselines::tune::Factory;
-use cpr_core::{BaselineFamily, CprBuilder, CprModel, Dataset, PerfModel, PerfModelBuilder};
+use cpr_core::{BaselineFamily, CprBuilder, Dataset, PerfModel, PerfModelBuilder};
 use cpr_grid::ParamSpace;
 use rayon::prelude::*;
 
@@ -80,105 +81,63 @@ impl Scale {
     }
 }
 
-/// Dataset → (log features, log times) for baseline training.
-pub fn prepare_xy(space: &ParamSpace, data: &Dataset) -> (Vec<Vec<f64>>, Vec<f64>) {
-    let xs = data
-        .samples()
-        .iter()
-        .map(|s| transform_features(space, &s.x))
-        .collect();
-    let ys = data.samples().iter().map(|s| s.y.ln()).collect();
-    (xs, ys)
-}
-
-/// MLogQ of a baseline's log-space predictions against log-space truth.
-pub fn mlogq_log_space(pred_log: &[f64], truth_log: &[f64]) -> f64 {
-    pred_log
-        .iter()
-        .zip(truth_log)
-        .map(|(p, t)| (p - t).abs())
-        .sum::<f64>()
-        / truth_log.len() as f64
-}
-
-/// Result of tuning one model family.
-pub struct FamilyResult {
-    pub name: &'static str,
-    pub mlogq: f64,
-    pub size_bytes: usize,
-}
-
-/// Fit every factory in a family's grid, report the best test MLogQ
-/// (optionally capping model size, as Figure 7 does at 10 MB).
-pub fn tune_family(
-    name: &'static str,
-    grid: &[Factory],
-    space: &ParamSpace,
-    train: &Dataset,
-    test: &Dataset,
-    max_size_bytes: Option<usize>,
-) -> Option<FamilyResult> {
-    let (x_train, y_train) = prepare_xy(space, train);
-    let (x_test, y_test) = prepare_xy(space, test);
-    let best = cpr_baselines::tune_best(
-        grid,
-        &x_train,
-        &y_train,
-        &x_test,
-        &y_test,
-        mlogq_log_space,
-        max_size_bytes,
-    )?;
-    Some(FamilyResult {
-        name,
-        mlogq: best.score,
-        size_bytes: best.model.size_bytes(),
-    })
-}
-
-/// Best fitted model of one family after a generic sweep.
-pub struct FamilyBest {
+/// One builder's fit, scored on the test set: a slot of [`fit_each`] and an
+/// entry of [`sweep_builders`].
+pub struct Fitted {
+    /// The builder's name (the model family).
     pub name: String,
+    /// Test MLogQ, always finite.
     pub mlogq: f64,
     pub size_bytes: usize,
-    /// The winning model itself, servable through the generic surface.
+    /// The fitted model itself, servable through the generic surface.
     pub model: Box<dyn PerfModel>,
 }
 
-/// Sweep any list of [`PerfModelBuilder`]s — CPR configurations, baseline
-/// factories, extrapolators, mixed — through **one** fit/evaluate code
-/// path: every builder fits on `train` (in parallel), evaluates on `test`
-/// via [`PerfModel::evaluate`], and the best model per distinct builder
-/// name (lowest test MLogQ, ties to the earlier builder) is returned in
-/// first-seen name order. `max_size_bytes` drops models over the paper's
-/// Figure 7 cap; builders whose fit fails are skipped.
-pub fn sweep_builders(
+/// Fit every builder on `train` (in parallel) and score it on `test` via
+/// [`PerfModel::evaluate`]: one slot per builder, in input order, so a
+/// figure can label each slot by its grid point. A slot is `None` where the
+/// fit fails, where the model is over `max_size_bytes` (the paper's Figure 7
+/// cap), or where its MLogQ is not finite.
+pub fn fit_each(
     builders: &[Box<dyn PerfModelBuilder>],
     train: &Dataset,
     test: &Dataset,
     max_size_bytes: Option<usize>,
-) -> Vec<FamilyBest> {
-    let fitted: Vec<Option<FamilyBest>> = builders
+) -> Vec<Option<Fitted>> {
+    builders
         .par_iter()
         .map(|b| {
             let model = b.fit_boxed(train).ok()?;
             let size_bytes = model.size_bytes();
-            if let Some(cap) = max_size_bytes {
-                if size_bytes > cap {
-                    return None;
-                }
+            if max_size_bytes.is_some_and(|cap| size_bytes > cap) {
+                return None;
             }
             let mlogq = model.evaluate(test).mlogq;
-            mlogq.is_finite().then_some(FamilyBest {
+            mlogq.is_finite().then(|| Fitted {
                 name: b.name().to_string(),
                 mlogq,
                 size_bytes,
                 model,
             })
         })
-        .collect();
-    let mut best: Vec<FamilyBest> = Vec::new();
-    for candidate in fitted.into_iter().flatten() {
+        .collect()
+}
+
+/// The §6.0.4 protocol over any list of [`PerfModelBuilder`]s — CPR
+/// configurations, baseline factories, extrapolators, mixed: [`fit_each`],
+/// then the best slot per distinct builder name (lowest test MLogQ, ties to
+/// the earlier builder), in first-seen name order.
+pub fn sweep_builders(
+    builders: &[Box<dyn PerfModelBuilder>],
+    train: &Dataset,
+    test: &Dataset,
+    max_size_bytes: Option<usize>,
+) -> Vec<Fitted> {
+    let mut best: Vec<Fitted> = Vec::new();
+    for candidate in fit_each(builders, train, test, max_size_bytes)
+        .into_iter()
+        .flatten()
+    {
         match best.iter_mut().find(|fb| fb.name == candidate.name) {
             Some(fb) if candidate.mlogq < fb.mlogq => *fb = candidate,
             Some(_) => {}
@@ -188,9 +147,10 @@ pub fn sweep_builders(
     best
 }
 
-/// The standard CPR hyper-parameter grid as generic builders (every
-/// `(cells, rank, lambda)` point, all named `"CPR"`, so [`sweep_builders`]
-/// reports the family best).
+/// The standard CPR hyper-parameter grid as generic builders: every
+/// `(cells, rank, lambda)` point, cells outermost and λ innermost (the
+/// order [`fit_each`]'s slots keep), all named `"CPR"`, so
+/// [`sweep_builders`] reports the family best.
 pub fn cpr_builder_grid(
     space: &ParamSpace,
     cells: &[usize],
@@ -225,60 +185,6 @@ pub fn family_builder_grid(
             Box::new(BaselineFamily::new(name, space.clone(), factory)) as Box<dyn PerfModelBuilder>
         })
         .collect()
-}
-
-/// CPR hyper-parameter point.
-#[derive(Debug, Clone, Copy)]
-pub struct CprPoint {
-    pub cells: usize,
-    pub rank: usize,
-    pub lambda: f64,
-}
-
-/// Fit one CPR configuration and return `(model, test MLogQ)`.
-pub fn fit_cpr(
-    space: &ParamSpace,
-    train: &Dataset,
-    test: &Dataset,
-    point: CprPoint,
-) -> (CprModel, f64) {
-    let model = CprBuilder::new(space.clone())
-        .cells_per_dim(point.cells)
-        .rank(point.rank)
-        .regularization(point.lambda)
-        .fit(train)
-        .expect("CPR training failed");
-    let mlogq = model.evaluate(test).mlogq;
-    (model, mlogq)
-}
-
-/// Sweep CPR over a grid of `(cells, rank, lambda)` triples in parallel and
-/// return the best model by test MLogQ (the §6.0.4 exhaustive protocol).
-pub fn tune_cpr(
-    space: &ParamSpace,
-    train: &Dataset,
-    test: &Dataset,
-    cells: &[usize],
-    ranks: &[usize],
-    lambdas: &[f64],
-) -> (CprModel, f64) {
-    let points: Vec<CprPoint> = cells
-        .iter()
-        .flat_map(|&c| {
-            ranks.iter().flat_map(move |&r| {
-                lambdas.iter().map(move |&l| CprPoint {
-                    cells: c,
-                    rank: r,
-                    lambda: l,
-                })
-            })
-        })
-        .collect();
-    points
-        .par_iter()
-        .map(|&p| fit_cpr(space, train, test, p))
-        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-        .expect("empty CPR sweep")
 }
 
 /// Print a TSV header followed by rows.
@@ -316,54 +222,126 @@ mod tests {
         assert!((t[2] - 256.0_f64.ln()).abs() < 1e-12);
     }
 
+    /// A builder whose model predicts one constant time, for checking the
+    /// sweep's slot and pick rules without a real fit. `pred: None` is a
+    /// failed fit.
+    struct Stub {
+        name: &'static str,
+        pred: Option<f64>,
+        size: usize,
+    }
+
+    struct StubModel {
+        space: ParamSpace,
+        pred: f64,
+        size: usize,
+    }
+
+    impl PerfModel for StubModel {
+        fn name(&self) -> &str {
+            "stub"
+        }
+        fn space(&self) -> &ParamSpace {
+            &self.space
+        }
+        fn predict(&self, _: &[f64]) -> f64 {
+            self.pred
+        }
+        fn size_bytes(&self) -> usize {
+            self.size
+        }
+    }
+
+    impl PerfModelBuilder for Stub {
+        fn name(&self) -> &str {
+            self.name
+        }
+        fn fit_boxed(&self, _: &Dataset) -> cpr_core::Result<Box<dyn PerfModel>> {
+            let pred = self
+                .pred
+                .ok_or_else(|| cpr_core::CprError::InvalidConfig("stub fit fails".into()))?;
+            Ok(Box::new(StubModel {
+                space: ParamSpace::new(vec![cpr_grid::ParamSpec::linear("x", 0.0, 1.0)]),
+                pred,
+                size: self.size,
+            }))
+        }
+    }
+
+    fn stubs(specs: &[(&'static str, Option<f64>, usize)]) -> Vec<Box<dyn PerfModelBuilder>> {
+        specs
+            .iter()
+            .map(|&(name, pred, size)| Box::new(Stub { name, pred, size }) as _)
+            .collect()
+    }
+
+    /// Every measured time is 1, so a stub predicting `t` scores `|ln t|`.
+    fn unit_times() -> Dataset {
+        let mut data = Dataset::new();
+        for i in 0..4 {
+            data.push(vec![i as f64 / 4.0], 1.0);
+        }
+        data
+    }
+
+    #[test]
+    fn fit_each_keeps_one_slot_per_builder_in_order() {
+        let data = unit_times();
+        let builders = stubs(&[
+            ("A", Some(2.0), 10),
+            ("B", None, 10),
+            ("C", Some(2.0), 1000),
+            ("D", Some(f64::INFINITY), 10),
+            ("E", Some(2.0), 10),
+        ]);
+        let slots = fit_each(&builders, &data, &data, Some(100));
+        let names: Vec<Option<&str>> = slots
+            .iter()
+            .map(|s| s.as_ref().map(|f| f.name.as_str()))
+            .collect();
+        // A failed fit, an over-cap model and a non-finite score leave holes.
+        assert_eq!(names, [Some("A"), None, None, None, Some("E")]);
+        for f in slots.iter().flatten() {
+            assert_eq!(f.mlogq, 2.0_f64.ln());
+            assert_eq!(f.size_bytes, 10);
+            assert_eq!(f.model.evaluate(&data).mlogq, f.mlogq);
+        }
+        // Without a cap the large model keeps its slot.
+        let uncapped = fit_each(&builders, &data, &data, None);
+        assert_eq!(uncapped[2].as_ref().map(|f| f.size_bytes), Some(1000));
+    }
+
+    #[test]
+    fn sweep_picks_the_lowest_mlogq_per_name_ties_to_the_earlier() {
+        let data = unit_times();
+        let builders = stubs(&[
+            ("B", Some(4.0), 1),
+            ("A", Some(8.0), 2),
+            ("A", Some(f64::INFINITY), 3),
+            ("A", Some(2.0), 4),
+            ("A", Some(2.0), 5),
+            ("B", Some(2.0), 6),
+            ("A", None, 7),
+        ]);
+        let best = sweep_builders(&builders, &data, &data, None);
+        let picked: Vec<(&str, usize)> = best
+            .iter()
+            .map(|f| (f.name.as_str(), f.size_bytes))
+            .collect();
+        // First-seen name order; `A` ties at ln 2 between sizes 4 and 5.
+        assert_eq!(picked, [("B", 6), ("A", 4)]);
+        assert!(sweep_builders(&builders, &data, &data, Some(0)).is_empty());
+    }
+
     #[test]
     fn cpr_fits_mm_reasonably() {
         let mm = MatMul::default();
         let train = mm.sample_dataset(2000, 1);
         let test = mm.sample_dataset(300, 2);
-        let (_, mlogq) = fit_cpr(
-            &mm.space(),
-            &train,
-            &test,
-            CprPoint {
-                cells: 8,
-                rank: 4,
-                lambda: 1e-6,
-            },
-        );
-        assert!(mlogq < 0.5, "CPR on MM: MLogQ {mlogq}");
-    }
-
-    #[test]
-    fn tune_cpr_picks_best() {
-        let mm = MatMul::default();
-        let train = mm.sample_dataset(1500, 3);
-        let test = mm.sample_dataset(200, 4);
-        let (model, best) = tune_cpr(&mm.space(), &train, &test, &[4, 8], &[1, 4], &[1e-6]);
-        let (_, fixed) = fit_cpr(
-            &mm.space(),
-            &train,
-            &test,
-            CprPoint {
-                cells: 4,
-                rank: 1,
-                lambda: 1e-6,
-            },
-        );
-        assert!(best <= fixed + 1e-12);
-        assert!(model.size_bytes() > 0);
-    }
-
-    #[test]
-    fn family_tuning_runs_end_to_end() {
-        let mm = MatMul::default();
-        let space = mm.space();
-        let train = mm.sample_dataset(400, 5);
-        let test = mm.sample_dataset(100, 6);
-        let grid = cpr_baselines::tune::knn_grid(cpr_baselines::SweepBudget::Quick);
-        let res = tune_family("KNN", &grid, &space, &train, &test, None).unwrap();
-        assert!(res.mlogq.is_finite() && res.mlogq > 0.0);
-        assert!(res.size_bytes > 0);
+        let builders = cpr_builder_grid(&mm.space(), &[8], &[4], &[1e-6]);
+        let slots = fit_each(&builders, &train, &test, None);
+        let fitted = slots[0].as_ref().expect("CPR fits MM");
+        assert!(fitted.mlogq < 0.5, "CPR on MM: MLogQ {}", fitted.mlogq);
     }
 
     #[test]
@@ -381,6 +359,13 @@ mod tests {
         let best = sweep_builders(&builders, &train, &test, None);
         let names: Vec<&str> = best.iter().map(|b| b.name.as_str()).collect();
         assert_eq!(names, ["CPR", "KNN"], "one best entry per family");
+        // The CPR entry is the lowest of its four grid points.
+        let cpr_slots = fit_each(&builders[..4], &train, &test, None);
+        let lowest = cpr_slots
+            .iter()
+            .map(|s| s.as_ref().expect("every CPR point fits").mlogq)
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(best[0].mlogq, lowest);
         for fb in &best {
             assert!(fb.mlogq.is_finite() && fb.mlogq > 0.0);
             assert!(fb.size_bytes > 0);

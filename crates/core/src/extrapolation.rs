@@ -45,26 +45,21 @@ impl ModeExtrapolator {
     }
 }
 
-/// Builder for [`CprExtrapolator`]: a thin wrapper over [`CprBuilder`]
-/// that pins the optimizer/loss pair to AMN/MLogQ² (positivity is required
-/// by the rank-1/Perron argument) and adds the one extrapolation-specific
-/// knob (spline term cap). Every other field — cells, rank, λ, sweeps,
+/// Cap on MARS spline terms for the per-mode singular-vector fits.
+const SPLINE_MAX_TERMS: usize = 12;
+
+/// Builder for [`CprExtrapolator`]: a configured [`CprBuilder`] with its
+/// optimizer/loss pair pinned to AMN/MLogQ² (positivity is required by the
+/// rank-1/Perron argument). Every other field — cells, rank, λ, sweeps,
 /// seed — is the wrapped builder's [`crate::FitSpec`]; there is no second
-/// copy of the configuration.
+/// copy of the configuration and no second set of setters.
 #[derive(Debug, Clone)]
 pub struct CprExtrapolatorBuilder {
     inner: CprBuilder,
-    spline_max_terms: usize,
 }
 
 impl CprExtrapolatorBuilder {
-    /// Start a builder; defaults mirror [`CprBuilder`] with AMN/MLogQ²
-    /// forced.
-    pub fn new(space: ParamSpace) -> Self {
-        Self::from_builder(CprBuilder::new(space))
-    }
-
-    /// Wrap an existing [`CprBuilder`], reusing its whole fit
+    /// Wrap a configured [`CprBuilder`], reusing its whole fit
     /// configuration. The optimizer/loss selection is overridden to
     /// AMN/MLogQ² — the only regime the §5.3 construction is sound in.
     pub fn from_builder(builder: CprBuilder) -> Self {
@@ -72,7 +67,6 @@ impl CprExtrapolatorBuilder {
             inner: builder
                 .optimizer(cpr_completion::Optimizer::Amn)
                 .loss(Loss::MLogQ2),
-            spline_max_terms: 12,
         }
     }
 
@@ -81,51 +75,9 @@ impl CprExtrapolatorBuilder {
         &self.inner
     }
 
-    /// Same cell count along every numerical mode.
-    pub fn cells_per_dim(mut self, cells: usize) -> Self {
-        self.inner = self.inner.cells_per_dim(cells);
-        self
-    }
-
-    /// Per-mode cell counts.
-    pub fn cells(mut self, cells: Vec<usize>) -> Self {
-        self.inner = self.inner.cells(cells);
-        self
-    }
-
-    /// CP rank.
-    pub fn rank(mut self, rank: usize) -> Self {
-        self.inner = self.inner.rank(rank);
-        self
-    }
-
-    /// Ridge regularization λ.
-    pub fn regularization(mut self, lambda: f64) -> Self {
-        self.inner = self.inner.regularization(lambda);
-        self
-    }
-
-    /// Optimizer sweep cap.
-    pub fn max_sweeps(mut self, sweeps: usize) -> Self {
-        self.inner = self.inner.max_sweeps(sweeps);
-        self
-    }
-
-    /// Factor-initialization seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.inner = self.inner.seed(seed);
-        self
-    }
-
-    /// Cap on MARS spline terms for the singular-vector fits.
-    pub fn spline_max_terms(mut self, terms: usize) -> Self {
-        self.spline_max_terms = terms;
-        self
-    }
-
     /// Train the positive CP model and fit per-mode extrapolation splines.
     pub fn fit(&self, data: &Dataset) -> Result<CprExtrapolator> {
-        CprExtrapolator::from_model(self.inner.fit(data)?, self.spline_max_terms)
+        CprExtrapolator::from_model(self.inner.fit(data)?)
     }
 }
 
@@ -139,7 +91,7 @@ pub struct CprExtrapolator {
 impl CprExtrapolator {
     /// Fit the per-mode rank-1 factorizations and splines of §5.3 over a
     /// positive CP model.
-    fn from_model(model: CprModel, spline_max_terms: usize) -> Result<CprExtrapolator> {
+    fn from_model(model: CprModel) -> Result<CprExtrapolator> {
         if !model.cp().is_strictly_positive() {
             return Err(CprError::InvalidConfig(
                 "AMN training did not preserve factor positivity".into(),
@@ -158,7 +110,7 @@ impl CprExtrapolator {
             // against round-off before the log.
             let log_u: Vec<f64> = triple.u.iter().map(|&u| u.max(1e-300).ln()).collect();
             let h: Vec<f64> = axis.midpoints().iter().map(|&m| axis.spec().h(m)).collect();
-            let spline = fit_univariate_spline(&h, &log_u, spline_max_terms);
+            let spline = fit_univariate_spline(&h, &log_u, SPLINE_MAX_TERMS);
             modes.push(Some(ModeExtrapolator {
                 sigma: triple.sigma,
                 v: triple.v,
@@ -259,7 +211,7 @@ impl crate::perf_model::PerfModel for CprExtrapolator {
         "CPR-E"
     }
 
-    fn space(&self) -> &cpr_grid::ParamSpace {
+    fn space(&self) -> &ParamSpace {
         self.model.space()
     }
 
@@ -334,11 +286,12 @@ mod tests {
         // much structure the non-dominant component soaked up — so this test
         // pins the factor-init seed (as the rest of the suite does) rather
         // than gambling on the builder default.
-        let ex = CprExtrapolatorBuilder::new(space)
+        let base = CprBuilder::new(space)
             .cells_per_dim(8)
             .rank(2)
             .regularization(1e-8)
-            .seed(1)
+            .seed(1);
+        let ex = CprExtrapolatorBuilder::from_builder(base)
             .fit(&train)
             .unwrap();
         let mut rng = StdRng::seed_from_u64(2);
@@ -370,7 +323,7 @@ mod tests {
         ]);
         let cp = cpr_completion::init_positive(&[6, 6, 3], 2, 3.0, 5);
         let model = CprModel::from_parts(space, &[6, 6, 3], cp, Loss::MLogQ2, 0.0).unwrap();
-        let ex = CprExtrapolator::from_model(model, 12).unwrap();
+        let ex = CprExtrapolator::from_model(model).unwrap();
         let probes = [
             [300.0, 300.0, 1.0],
             [300.5, 1000.5, 0.0],
@@ -390,9 +343,8 @@ mod tests {
     #[test]
     fn predictions_always_positive() {
         let (space, train) = power_law_data(512.0, 800, 4);
-        let ex = CprExtrapolatorBuilder::new(space)
-            .cells_per_dim(6)
-            .rank(2)
+        let base = CprBuilder::new(space).cells_per_dim(6).rank(2);
+        let ex = CprExtrapolatorBuilder::from_builder(base)
             .fit(&train)
             .unwrap();
         for m in [8.0, 512.0, 100_000.0] {
@@ -406,10 +358,11 @@ mod tests {
     fn multi_mode_extrapolation() {
         // Both parameters out of range simultaneously.
         let (space, train) = power_law_data(512.0, 1500, 5);
-        let ex = CprExtrapolatorBuilder::new(space)
+        let base = CprBuilder::new(space)
             .cells_per_dim(8)
             .rank(2)
-            .regularization(1e-8)
+            .regularization(1e-8);
+        let ex = CprExtrapolatorBuilder::from_builder(base)
             .fit(&train)
             .unwrap();
         let m: f64 = 2048.0;
@@ -433,9 +386,8 @@ mod tests {
             let alg = rng.gen_range(0..2usize);
             data.push(vec![n, alg as f64], 1e-3 * [1.0, 2.0][alg] * n);
         }
-        let ex = CprExtrapolatorBuilder::new(space)
-            .cells(vec![6, 2])
-            .rank(2)
+        let base = CprBuilder::new(space).cells(vec![6, 2]).rank(2);
+        let ex = CprExtrapolatorBuilder::from_builder(base)
             .fit(&data)
             .unwrap();
         // Out-of-range category index clamps to the nearest valid choice.
@@ -491,7 +443,7 @@ mod tests {
         ]);
         let cp = cpr_completion::init_positive(&[6, 6, 2], 2, 3.0, 4);
         let model = CprModel::from_parts(space, &[6, 6, 2], cp, Loss::MLogQ2, 0.0).unwrap();
-        let ex = CprExtrapolator::from_model(model, 12).unwrap();
+        let ex = CprExtrapolator::from_model(model).unwrap();
         // In-domain values first, then out-of-domain ones on both sides.
         let ms = [40.0, 200.0, 500.0, 10.0, 2048.0, 8192.0];
         let ns = [50.0, 1500.0, 4.0, 8192.0, 1e5];
@@ -510,9 +462,8 @@ mod tests {
     #[test]
     fn size_accounts_for_splines() {
         let (space, train) = power_law_data(512.0, 500, 7);
-        let ex = CprExtrapolatorBuilder::new(space)
-            .cells_per_dim(6)
-            .rank(2)
+        let base = CprBuilder::new(space).cells_per_dim(6).rank(2);
+        let ex = CprExtrapolatorBuilder::from_builder(base)
             .fit(&train)
             .unwrap();
         assert!(ex.size_bytes() > ex.model().size_bytes());

@@ -1503,13 +1503,11 @@ impl CprModel {
         self.observed_cells
     }
 
-    /// Observed fill fraction of the tensor `|Ω| / Π I_j`. The cell total
-    /// is a product of `f64`s, as in [`SparseTensor::density`]: the fit
-    /// accepts grids of more than 2^64 cells, where a `usize` product
-    /// overflows.
+    /// Observed fill fraction of the tensor `|Ω| / Π I_j`, over
+    /// [`TensorGrid::cell_count`] (an `f64`, so grids of more than 2^64
+    /// cells count too).
     pub fn density(&self) -> f64 {
-        let cells: f64 = self.grid.dims().iter().map(|&n| n as f64).product();
-        self.observed_cells as f64 / cells
+        self.observed_cells as f64 / self.grid.cell_count()
     }
 
     /// Training-set size: the samples the fit (or a streaming trainer)

@@ -221,11 +221,9 @@ fn dyn_perf_model_dispatch() {
                 .rank(2)
                 .optimizer(Optimizer::TuckerAls),
         ),
-        Box::new(
-            CprExtrapolatorBuilder::new(space.clone())
-                .cells_per_dim(6)
-                .rank(2),
-        ),
+        Box::new(CprExtrapolatorBuilder::from_builder(
+            CprBuilder::new(space.clone()).cells_per_dim(6).rank(2),
+        )),
         Box::new(BaselineFamily::new("KNN", space.clone(), || {
             Box::new(Knn::new(KnnConfig::default())) as Box<dyn Regressor>
         })),

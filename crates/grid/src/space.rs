@@ -83,9 +83,11 @@ impl TensorGrid {
         self.axes.iter().map(|a| a.len()).collect()
     }
 
-    /// Total number of grid cells `Π I_j`.
-    pub fn cell_count(&self) -> usize {
-        self.axes.iter().map(|a| a.len()).product()
+    /// Total number of grid cells `Π I_j`, as a product of `f64`s: a fit
+    /// accepts grids of more than 2^64 cells, where a `usize` product
+    /// overflows.
+    pub fn cell_count(&self) -> f64 {
+        self.axes.iter().map(|a| a.len() as f64).product()
     }
 
     /// Axis for one mode.
@@ -206,7 +208,21 @@ mod tests {
     fn dims_and_cells() {
         let g = space2d().grid_uniform_cells(5);
         assert_eq!(g.dims(), vec![5, 5]);
-        assert_eq!(g.cell_count(), 25);
+        assert_eq!(g.cell_count(), 25.0);
+    }
+
+    #[test]
+    fn cell_count_of_a_grid_beyond_usize() {
+        // 17 axes of 16 cells: 2^68 cells, which a `usize` product cannot
+        // count.
+        let space = ParamSpace::new(
+            (0..17)
+                .map(|j| ParamSpec::log(format!("p{j}"), 1.0, 1024.0))
+                .collect(),
+        );
+        let g = space.grid_uniform_cells(16);
+        assert_eq!(g.dims(), vec![16; 17]);
+        assert_eq!(g.cell_count(), 2.0_f64.powi(68));
     }
 
     #[test]

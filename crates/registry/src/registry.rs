@@ -105,8 +105,8 @@ pub struct RegistryStats {
     /// Lookups that found no model.
     pub misses: u64,
     /// Deadline-aware serves shed because the budget expired before (or
-    /// while) computing — see [`ModelRegistry::predict_deadline`] and
-    /// [`ModelRegistry::serve_batch_deadline`]. One count per shed call.
+    /// while) computing — see [`ModelRegistry::serve_batch_deadline`]. One
+    /// count per shed call.
     pub deadline_shed: u64,
     /// Queries rejected at the validation boundary (wrong dimension or
     /// non-finite coordinates) before any plan ran. One count per
@@ -656,37 +656,6 @@ impl ModelRegistry {
             )));
         }
         Ok(())
-    }
-
-    /// [`Self::predict`] with validation and a hard time budget: the query
-    /// is checked (dimension, finiteness) before anything runs, and an
-    /// already-expired `deadline` sheds the request *before* the plan does
-    /// any work. A served answer is bitwise-identical to [`Self::predict`].
-    pub fn predict_deadline(
-        &self,
-        id: &ModelId,
-        x: &[f64],
-        deadline: Instant,
-    ) -> Result<f64, RegistryError> {
-        let t = self.timer();
-        let Some(entry) = self.entry(id) else {
-            self.misses.inc();
-            return Err(RegistryError::UnknownModel(id.clone()));
-        };
-        self.touch(&entry);
-        let plan = entry.plan.load();
-        if let Err(e) = Self::validate_query(&plan, x) {
-            self.malformed.inc();
-            return Err(e);
-        }
-        if Instant::now() >= deadline {
-            self.deadline_shed.inc();
-            return Err(RegistryError::DeadlineExceeded);
-        }
-        self.count_serve(&plan, 1);
-        let y = plan.predict(x);
-        Self::observe(t, &self.serve_us);
-        Ok(y)
     }
 
     /// [`Self::serve_batch`] with validation and a hard time budget. Every

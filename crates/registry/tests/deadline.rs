@@ -1,10 +1,11 @@
-//! Deadline-aware serving entry points: bitwise equality with the
-//! unbounded paths, shed-before-work on expired budgets, clean rejection
-//! of malformed queries, and the shed-accounting identity under
-//! concurrent load (PR 7 churn-accounting style): every deadline-aware
-//! call lands in exactly one of {served, deadline_shed, malformed,
-//! miss}, and the registry counters reconcile exactly once the load
-//! drains.
+//! The deadline-aware serving entry point (`serve_batch_deadline`, the
+//! server's only serve path): bitwise equality with the unbounded paths,
+//! shed-before-work on expired budgets, clean rejection of malformed
+//! queries, and the shed-accounting identity under concurrent load: every
+//! deadline-aware call lands in exactly one of {served, deadline_shed,
+//! malformed, miss}, and the registry counters reconcile exactly once the
+//! load drains. Single queries go through as one-query batches, as a
+//! single-query wire request does.
 
 mod common;
 
@@ -17,6 +18,18 @@ use std::time::{Duration, Instant};
 
 fn generous() -> Instant {
     Instant::now() + Duration::from_secs(3600)
+}
+
+/// One query through the deadline path, as a one-query batch.
+fn serve_one(
+    registry: &ModelRegistry,
+    id: &ModelId,
+    x: &[f64],
+    deadline: Instant,
+) -> Result<f64, RegistryError> {
+    registry
+        .serve_batch_deadline(&[(id.clone(), x)], deadline)
+        .map(|ys| ys[0])
 }
 
 #[test]
@@ -40,7 +53,7 @@ fn deadline_serving_matches_unbounded_bitwise() {
     }
     for (id, x) in batch.iter().take(64) {
         let direct = registry.predict(id, x).unwrap();
-        let dl = registry.predict_deadline(id, x, generous()).unwrap();
+        let dl = serve_one(&registry, id, x, generous()).unwrap();
         assert_eq!(direct.to_bits(), dl.to_bits());
     }
 }
@@ -56,7 +69,7 @@ fn expired_deadline_sheds_before_any_work() {
     let before = registry.stats();
     let past = Instant::now();
     assert_eq!(
-        registry.predict_deadline(&id, &x, past),
+        serve_one(&registry, &id, &x, past),
         Err(RegistryError::DeadlineExceeded)
     );
     let batch = vec![(id.clone(), x.clone()); 8];
@@ -66,7 +79,7 @@ fn expired_deadline_sheds_before_any_work() {
     );
     let after = registry.stats();
     assert_eq!(after.deadline_shed, before.deadline_shed + 2);
-    // Shed means shed: no query was served on either path.
+    // Shed means shed: no query of either batch was served.
     assert_eq!(after.dense_hits, before.dense_hits);
     assert_eq!(after.gather_hits, before.gather_hits);
 }
@@ -84,7 +97,7 @@ fn malformed_queries_reject_cleanly_with_no_work() {
     let mut too_long = good.clone();
     too_long.push(1.0);
     assert!(matches!(
-        registry.predict_deadline(&id, &too_long, generous()),
+        serve_one(&registry, &id, &too_long, generous()),
         Err(RegistryError::MalformedQuery(_))
     ));
     // Non-finite coordinates.
@@ -92,7 +105,7 @@ fn malformed_queries_reject_cleanly_with_no_work() {
         let mut q = good.clone();
         q[0] = bad;
         assert!(matches!(
-            registry.predict_deadline(&id, &q, generous()),
+            serve_one(&registry, &id, &q, generous()),
             Err(RegistryError::MalformedQuery(_))
         ));
     }
@@ -117,7 +130,7 @@ fn unknown_model_is_a_miss_not_a_shed() {
     let registry = ModelRegistry::new();
     let ghost = ModelId::new("ghost", "nowhere", "time");
     assert!(matches!(
-        registry.predict_deadline(&ghost, &[1.0], generous()),
+        serve_one(&registry, &ghost, &[1.0], generous()),
         Err(RegistryError::UnknownModel(_))
     ));
     let stats = registry.stats();
@@ -165,10 +178,10 @@ fn concurrent_shed_accounting_reconciles_exactly() {
                     // never see a bucket ahead of the issue counter.
                     issued.fetch_add(1, Ordering::SeqCst);
                     let r = match role {
-                        0 => registry.predict_deadline(&id, &good, generous()),
-                        1 => registry.predict_deadline(&id, &good, Instant::now()),
-                        2 => registry.predict_deadline(&id, &nan_query, generous()),
-                        _ => registry.predict_deadline(&ghost, &good, generous()),
+                        0 => serve_one(&registry, &id, &good, generous()),
+                        1 => serve_one(&registry, &id, &good, Instant::now()),
+                        2 => serve_one(&registry, &id, &nan_query, generous()),
+                        _ => serve_one(&registry, &ghost, &good, generous()),
                     };
                     match (role, r) {
                         (0, Ok(_)) => {}

@@ -57,7 +57,7 @@ fn exported_counters_are_the_stats_cells() {
     let mut poisoned = queries[0].1.clone();
     poisoned[0] = f64::NAN;
     let far = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    let _ = registry.predict_deadline(&id_of(&models[queries[0].0]), &poisoned, far);
+    let _ = registry.serve_batch_deadline(&[(id_of(&models[queries[0].0]), poisoned)], far);
     registry.insert(id_of(&models[0]), models[1].model.clone());
 
     let s = registry.stats();

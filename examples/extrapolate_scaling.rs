@@ -9,7 +9,7 @@
 //! Run: `cargo run --release --example extrapolate_scaling`
 
 use cpr::apps::{standard_normal, Benchmark, Broadcast};
-use cpr::core::{CprExtrapolatorBuilder, Dataset};
+use cpr::core::{CprBuilder, CprExtrapolatorBuilder, Dataset};
 use cpr::grid::{ParamSpace, ParamSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,10 +35,11 @@ fn main() {
         train.push(vec![nodes, ppn, msg], y);
     }
 
-    let ex = CprExtrapolatorBuilder::new(space)
+    let base = CprBuilder::new(space)
         .cells_per_dim(12)
         .rank(3)
-        .regularization(1e-7)
+        .regularization(1e-7);
+    let ex = CprExtrapolatorBuilder::from_builder(base)
         .fit(&train)
         .expect("training failed");
     println!(

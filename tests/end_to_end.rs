@@ -107,10 +107,11 @@ fn extrapolator_tracks_power_law_scaling() {
         let k = (32.0 * 128.0_f64.powf(rng.gen::<f64>())).round();
         train.push(vec![m, n, k], app.base_time(&[m, n, k]));
     }
-    let ex = CprExtrapolatorBuilder::new(space)
+    let base = CprBuilder::new(space)
         .cells_per_dim(8)
         .rank(2)
-        .regularization(1e-8)
+        .regularization(1e-8);
+    let ex = CprExtrapolatorBuilder::from_builder(base)
         .fit(&train)
         .unwrap();
     // Extrapolate m 4-8x beyond the cap.
